@@ -11,46 +11,31 @@ fits the empirical decay slope, and prints one summary table.  With
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from extbinom import rate_sweep
-
-
-@dataclass
-class StudyConfig:
-    qs: tuple[int, ...] = (1, 2, 3)
-    orders: tuple[int, ...] = (0, 1, 2)
-    n_list: tuple[int, ...] = (50, 100, 200, 400)
-    out_dir: Path | None = field(default=None)
+from extbinom.cli import _sweep_table, _to_csv
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def run(config: StudyConfig) -> None:
-    print(f"{'q':>3} {'order':>5} {'slope':>9} {'stderr':>8}  sup_error by n {config.n_list}")
-    for q in config.qs:
-        for order in config.orders:
-            report = rate_sweep(q, order, list(config.n_list))
+def run(qs: tuple[int, ...], orders: tuple[int, ...], n_list: tuple[int, ...],
+        out_dir: Path | None) -> None:
+    print(f"{'q':>3} {'order':>5} {'slope':>9} {'stderr':>8}  sup_error by n {n_list}")
+    for q in qs:
+        for order in orders:
+            report = rate_sweep(q, order, list(n_list))
             errors = " ".join(f"{r.sup_error:.3e}" for r in report.records)
             print(
                 f"{q:>3} {order:>5} {report.fitted_slope:>9.4f} "
                 f"{report.slope_stderr:>8.4f}  {errors}"
             )
-            if config.out_dir is not None:
-                config.out_dir.mkdir(parents=True, exist_ok=True)
-                path = config.out_dir / f"sweep_q{q}_order{order}.csv"
-                lines = ["n,sup_error,argmax_k"]
-                lines += [
-                    f"{r.n},{r.sup_error!r},{r.argmax_k}" for r in report.records
-                ]
-                lines += [
-                    f"# fitted_slope={report.fitted_slope!r},"
-                    f"stderr={report.slope_stderr!r}"
-                ]
-                path.write_text("\n".join(lines) + "\n")
+            if out_dir is not None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                path = out_dir / f"sweep_q{q}_order{order}.csv"
+                path.write_text(_to_csv(*_sweep_table(report)))
 
 
 def main() -> None:
@@ -60,11 +45,7 @@ def main() -> None:
     parser.add_argument("--n-list", type=parse_ints, default=(50, 100, 200, 400))
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args()
-    run(
-        StudyConfig(
-            qs=args.qs, orders=args.orders, n_list=args.n_list, out_dir=args.out_dir
-        )
-    )
+    run(args.qs, args.orders, args.n_list, args.out_dir)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from extbinom.cumulants import (
 )
 from extbinom.edgeworth import (
     GaussianPolynomial,
-    StandardizedPoint,
     approximate_scaled,
     correction_from_cumulants,
     standardize,
@@ -38,10 +37,8 @@ from extbinom.harness import (
 )
 from extbinom.special import (
     PartitionSolution,
-    Rational,
     RationalPolynomial,
     bernoulli,
-    enumerate_even_solutions,
     enumerate_partition_solutions,
     hermite,
 )
@@ -51,9 +48,7 @@ __all__ = [
     "CumulantVector",
     "GaussianPolynomial",
     "PartitionSolution",
-    "Rational",
     "RationalPolynomial",
-    "StandardizedPoint",
     "SweepRecord",
     "SweepReport",
     "approximate_scaled",
@@ -66,7 +61,6 @@ __all__ = [
     "cumulant",
     "cumulants_from_moments",
     "cumulants_up_to",
-    "enumerate_even_solutions",
     "enumerate_partition_solutions",
     "exact_scaled_value",
     "first_order_cross_check",

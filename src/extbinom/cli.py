@@ -15,15 +15,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from extbinom.cumulants import cumulants_from_moments, cumulants_up_to
 from extbinom.edgeworth import (
-    SQRT_2PI,
     approximate_scaled,
+    gaussian,
     standardize,
     uniform_correction,
 )
@@ -83,8 +82,7 @@ def _emit(args, rows: list[dict], comments: list[str] | None = None,
 def cmd_coeff(args) -> None:
     value = coefficient(args.n, args.k, args.q)
     if args.json:
-        rows = [{"n": args.n, "k": args.k, "q": args.q, "coefficient": value}]
-        _write(_to_json(rows), args.out)
+        _emit(args, [{"n": args.n, "k": args.k, "q": args.q, "coefficient": value}])
     else:
         _write(f"{value}\n", args.out)
 
@@ -99,10 +97,9 @@ def cmd_expand(args) -> None:
     n, k, q, order = args.n, args.k, args.q, args.order
     exact = exact_scaled_value(n, k, q)
     approx = approximate_scaled(n, k, q, order)
-    x = standardize(n, k, q).x
+    x = standardize(n, k, q)
     if args.terms:
-        gauss = math.exp(-0.5 * x * x) / SQRT_2PI
-        rows = [{"term": "x", "value": x}, {"term": "gaussian", "value": gauss}]
+        rows = [{"term": "x", "value": x}, {"term": "gaussian", "value": gaussian(x)}]
         for v in range(1, order + 1):
             rows.append(
                 {"term": f"nu={v}", "value": uniform_correction(v, q)(x) / n**v}
@@ -126,8 +123,8 @@ def cmd_expand(args) -> None:
     _emit(args, rows)
 
 
-def cmd_sweep(args) -> None:
-    report = rate_sweep(args.q, args.order, args.n_list)
+def _sweep_table(report) -> tuple[list[dict], list[str]]:
+    """A sweep report's CSV rows and its slope footer comment."""
     rows = [
         {"n": r.n, "sup_error": r.sup_error, "argmax_k": r.argmax_k}
         for r in report.records
@@ -135,6 +132,12 @@ def cmd_sweep(args) -> None:
     comments = [
         f"fitted_slope={report.fitted_slope!r},stderr={report.slope_stderr!r}"
     ]
+    return rows, comments
+
+
+def cmd_sweep(args) -> None:
+    report = rate_sweep(args.q, args.order, args.n_list)
+    rows, comments = _sweep_table(report)
     footer = {
         "fitted_slope": report.fitted_slope,
         "slope_stderr": report.slope_stderr,
@@ -254,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -26,7 +26,8 @@ h > 1).  The uniform on {0, ..., q} has adjacent support points, so the
 condition holds automatically and is not exposed as a parameter.
 
 Polynomial coefficients stay rational until evaluation; evaluation is
-double-precision Horner times the Gaussian prefactor.
+double-precision Horner times the Gaussian prefactor ``gaussian(x)`` at
+``x = standardize(n, k, q)``, all in ``approximate_scaled``.
 """
 
 from __future__ import annotations
@@ -38,15 +39,20 @@ from functools import lru_cache
 from math import factorial
 
 from extbinom.cumulants import CumulantVector
+from extbinom.exact import _check_nq
 from extbinom.special import (
     RationalPolynomial,
     bernoulli,
-    enumerate_even_solutions,
     enumerate_partition_solutions,
     hermite,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def gaussian(x: float) -> float:
+    """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2)."""
+    return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -59,34 +65,16 @@ class GaussianPolynomial:
     poly: RationalPolynomial
 
     def __call__(self, x: float) -> float:
-        return math.exp(-0.5 * x * x) / SQRT_2PI * self.poly(float(x))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
+        return gaussian(x) * self.poly(float(x))
 
 
-@dataclass(frozen=True)
-class StandardizedPoint:
+def standardize(n: int, k: int, q: int) -> float:
     """Lattice point k recentred by the mean n*q/2 and scaled by the
-    standard deviation sqrt(n*q*(q+2)/12) of the n-fold uniform sum."""
-
-    n: int
-    k: int
-    q: int
-    x: float
-
-
-def standardize(n: int, k: int, q: int) -> StandardizedPoint:
-    """Standardized coordinate of lattice point k; exactly 0.0 at the
-    central point k = n*q/2."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
+    standard deviation sqrt(n*q*(q+2)/12) of the n-fold uniform sum;
+    exactly 0.0 at the central point k = n*q/2."""
+    _check_nq(n, q)
     delta = 2 * k - n * q  # 2*(k - n*q/2), exact in integers
-    x = delta * math.sqrt(3.0 / (q * (q + 2) * n))
-    return StandardizedPoint(n=n, k=k, q=q, x=x)
+    return delta * math.sqrt(3.0 / (q * (q + 2) * n))
 
 
 def correction_from_cumulants(
@@ -155,7 +143,8 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
                               / ((2m+2)! * (m+1)))^{k_{2m}}
 
     with s the total multiplicity.  Even degree 2*(order + s_max), even
-    powers of x only.
+    powers of x only.  The multiplicity vectors are those of
+    ``enumerate_partition_solutions(order)``, entry i read as slot 2*(i+1).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -163,7 +152,7 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
         raise ValueError(f"q must be a positive integer, got {q}")
     qq2 = q * (q + 2)
     total = RationalPolynomial([0])
-    for sol in enumerate_even_solutions(order):
+    for sol in enumerate_partition_solutions(order):
         weight = Fraction(6, qq2) ** sol.s
         for m, mult in enumerate(sol.multiplicities, start=1):
             if mult == 0:
@@ -189,9 +178,8 @@ def approximate_scaled(n: int, k: int, q: int, order: int = 0) -> float:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    x = standardize(n, k, q).x
-    gauss = math.exp(-0.5 * x * x) / SQRT_2PI
+    x = standardize(n, k, q)
     corr = 0.0
     for v in range(1, order + 1):
         corr += uniform_correction(v, q).poly(x) / n**v
-    return gauss * (1.0 + corr)
+    return gaussian(x) * (1.0 + corr)

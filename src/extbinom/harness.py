@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from extbinom.edgeworth import SQRT_2PI, approximate_scaled, standardize
+from extbinom.edgeworth import approximate_scaled, gaussian, standardize
 from extbinom.exact import coefficient, compute_row
 
 
@@ -42,10 +40,16 @@ class SweepReport:
     slope_stderr: float
 
 
+def _scale(n: int, q: int) -> float:
+    """sqrt(q*(q+2)*n/12), the standard deviation of the n-fold uniform
+    sum, which turns a point probability into a density height."""
+    return math.sqrt(q * (q + 2) * n / 12)
+
+
 def exact_scaled_value(n: int, k: int, q: int) -> float:
     """sqrt(q*(q+2)*n/12) times the exact point probability, the quantity
     the expansion approximates.  Exact integer ratio, one float conversion."""
-    return (coefficient(n, k, q) / (q + 1) ** n) * math.sqrt(q * (q + 2) * n / 12)
+    return (coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
@@ -53,7 +57,7 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     and the k attaining it."""
     row = compute_row(n, q)
     denom = (q + 1) ** n
-    scale = math.sqrt(q * (q + 2) * n / 12)
+    scale = _scale(n, q)
     sup_error = -1.0
     argmax_k = -1
     for k in row.support:
@@ -89,6 +93,8 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
 
 
 def _ols_loglog(ns: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
+    import numpy as np  # only the fit needs numpy; keeps the package import light
+
     xs = np.log(np.asarray(ns, dtype=float))
     ys = np.log(np.asarray(errors, dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -126,9 +132,8 @@ def first_order_cross_check(n: int, k: int, q: int) -> tuple[float, float]:
     an assembly bug; the tests require agreement to 1e-12.
     """
     series = approximate_scaled(n, k, q, order=1)
-    x = standardize(n, k, q).x
-    gauss = math.exp(-0.5 * x * x) / SQRT_2PI
+    x = standardize(n, k, q)
     factor = 1.0 - ((q + 1) ** 4 - 1) * (x**4 - 6 * x * x + 3) / (
         20 * n * q * q * (q + 2) ** 2
     )
-    return series, gauss * factor
+    return series, gaussian(x) * factor

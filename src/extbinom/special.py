@@ -4,7 +4,7 @@ Hermite polynomials, and constrained multiplicity vectors.
 Conventions
 -----------
 * Rationals are ``fractions.Fraction`` throughout (always lowest terms,
-  positive denominator); ``Rational`` is exported as an alias.
+  positive denominator).
 * Bernoulli numbers follow the generating function ``t / (e^t - 1)``,
   so ``B_1 = -1/2``.  Only even indices are consumed downstream, where
   both common sign conventions agree.
@@ -21,8 +21,6 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -33,10 +31,11 @@ class RationalPolynomial:
     Trailing zero coefficients are stripped on construction, so equal
     polynomials always compare equal.  Evaluation at int or Fraction
     points is exact; at anything else (floats, numpy arrays) it runs a
-    floating Horner scheme.
+    floating Horner scheme on float coefficients converted once, on the
+    first such call.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
         cs = [Fraction(c) for c in coeffs]
@@ -45,6 +44,7 @@ class RationalPolynomial:
         if not cs:
             cs = [Fraction(0)]
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._floats: tuple[float, ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -61,9 +61,11 @@ class RationalPolynomial:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
+        if self._floats is None:
+            self._floats = tuple(float(c) for c in reversed(self.coeffs))
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._floats:
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "RationalPolynomial":
@@ -152,11 +154,7 @@ def hermite(m: int) -> RationalPolynomial:
 
 @dataclass(frozen=True)
 class PartitionSolution:
-    """Multiplicity vector (k_1, ..., k_v) with sum(m * k_m) = v.
-
-    For the even-slot enumeration the same tuple is read as
-    (k_2, k_4, ..., k_{2v}); the constraint is identical.
-    """
+    """Multiplicity vector (k_1, ..., k_v) with sum(m * k_m) = v."""
 
     multiplicities: tuple[int, ...]
 
@@ -191,13 +189,3 @@ def enumerate_partition_solutions(order: int) -> list[PartitionSolution]:
 
     descend(order, order)
     return out
-
-
-def enumerate_even_solutions(order: int) -> list[PartitionSolution]:
-    """All nonnegative (k_2, k_4, ..., k_{2*order}) with
-    k_2 + 2*k_4 + ... + order*k_{2*order} = order.
-
-    Structurally the same constraint as enumerate_partition_solutions;
-    entry i of the multiplicity tuple stands for slot 2*(i+1).
-    """
-    return enumerate_partition_solutions(order)

@@ -6,12 +6,25 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from extbinom.cli import main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with the checkout's src on the path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def run(capsys, *argv):
@@ -48,6 +61,13 @@ class TestCoeff:
         code, _, err = run(capsys, "coeff", "0", "1", "2")
         assert code == 2
         assert "error" in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "coeff", "1", "1", "1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestRow:
@@ -134,6 +154,14 @@ class TestSweep:
         rows, comments = parse_csv(path.read_text())
         assert len(rows) == 3 and len(comments) == 1
 
+    def test_study_script_csv_matches_sweep(self, capsys, tmp_path):
+        run_python(
+            str(ROOT / "scripts" / "convergence_study.py"), "--qs", "2",
+            "--orders", "1", "--n-list", "50,100,200", "--out-dir", str(tmp_path),
+        )
+        _, out, _ = run(capsys, "sweep", "2", "--order", "1", "--n-list", "50,100,200")
+        assert (tmp_path / "sweep_q2_order1.csv").read_bytes() == out.encode()
+
 
 class TestCumulants:
     def test_mean_row(self, capsys):
@@ -193,3 +221,12 @@ class TestFormatContracts:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_exact_commands_do_not_import_numpy():
+    run_python("-c", (
+        "import sys\n"
+        "from extbinom.cli import main\n"
+        "assert main(['coeff', '4', '4', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    ))

@@ -21,7 +21,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from extbinom import (
     RationalPolynomial,
     bernoulli,
-    enumerate_even_solutions,
     enumerate_partition_solutions,
     hermite,
 )
@@ -137,12 +136,6 @@ class TestPartitionSolutions:
     def test_s_field(self):
         for p in enumerate_partition_solutions(4):
             assert p.s == sum(p.multiplicities)
-
-    def test_even_solutions(self):
-        assert {p.multiplicities for p in enumerate_even_solutions(1)} == {(1,)}
-        two = {(p.multiplicities, p.s) for p in enumerate_even_solutions(2)}
-        assert two == {((2, 0), 2), ((0, 1), 1)}
-        assert len(enumerate_even_solutions(4)) == 5
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
