@@ -254,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # integers are printed exactly at any size, past the interpreter's
+    # digit limit for int-to-str conversion, where it has one
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -7,10 +7,15 @@ of n integers from {0, ..., q}; dividing by (q+1)**n turns a row into
 the point probabilities of a sum of n independent uniforms on
 {0, ..., q}.
 
-Multiplying a row by the base polynomial is a running window sum, so a
-full row build costs O(n^2 * q) integer additions.  All functions are
-pure; ``compute_row`` memoizes through ``functools.lru_cache``, which
-is thread-safe and returns immutable rows.
+``compute_row`` builds a row from the three-term recurrence that the
+holonomic series ``((1 - x^Q) / (1 - x))**n``, Q = q + 1, satisfies
+(J.C.P. Miller's recurrence for powers of a series, Knuth TAOCP Vol. 2
+section 4.7), so a row costs O(n * q) big-integer steps.  It builds only
+the first half and mirrors it, since rows are symmetric.  ``iter_rows``
+keeps the running window sum (multiply by the base polynomial), an
+independent route that costs O(n * q) additions per row.  All functions
+are pure; ``compute_row`` memoizes through ``functools.lru_cache``,
+which is thread-safe and returns immutable rows.
 """
 
 from __future__ import annotations
@@ -69,17 +74,31 @@ def _window_step(row: list[int], q: int) -> list[int]:
 def compute_row(n: int, q: int) -> BigRow:
     """Exact coefficient row of ``(1 + x + ... + x^q)**n``."""
     _check_nq(n, q)
-    row = [1] * (q + 1)
-    for _ in range(n - 1):
-        row = _window_step(row, q)
-    return BigRow(n=n, q=q, coeffs=tuple(row))
+    # k a_k = (k-1+n) a_{k-1} + (k-Q-nQ) a_{k-Q} + (nQ-n-k+Q+1) a_{k-Q-1},
+    # terms with a negative index dropped; the division by k is exact.
+    top = n * q
+    half = top // 2
+    Q = q + 1
+    a = [1]
+    for k in range(1, half + 1):
+        s = (k - 1 + n) * a[k - 1]
+        if k >= Q:
+            s += (k - Q - n * Q) * a[k - Q]
+            if k > Q:
+                s += (n * Q - n - k + Q + 1) * a[k - Q - 1]
+        a.append(s // k)
+    # a_k = a_{top-k}: the mirrored half shares the same int objects
+    return BigRow(n=n, q=q, coeffs=tuple(a + a[top - half - 1::-1]))
 
 
 def iter_rows(q: int, n_max: int) -> Iterator[BigRow]:
-    """Yield the rows for n = 1..n_max, each built from the previous one.
+    """Yield the rows for n = 1..n_max, each built from the previous one
+    by a window sum.
 
-    One full sweep costs the same as a single ``compute_row(n_max, q)``
-    call, so prefer this when every row is needed.
+    A full sweep costs O(n_max^2 * q) additions, against O(n_max * q)
+    steps for a single ``compute_row(n_max, q)``, so prefer this only
+    when every row is needed or as a route independent of the
+    recurrence.
     """
     _check_nq(n_max, q)
     row = [1] * (q + 1)

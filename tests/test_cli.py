@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from extbinom import coefficient
 from extbinom.cli import main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -31,6 +32,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift this interpreter's int/str digit limit, where it has one, so
+    the test itself can render and parse integers of any size."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def parse_csv(text):
@@ -68,6 +83,22 @@ class TestCoeff:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    # 10000 * 2 gives a coefficient of 4770 digits, past the default limit
+    # of 4300 digits for int-to-str conversion; the CLI runs in a fresh
+    # interpreter so that it starts with that limit in force.
+    def test_beyond_int_digit_limit(self, no_int_digit_limit):
+        out = run_python("-m", "extbinom.cli", "coeff", "10000", "10000", "2").stdout
+        assert out == f"{coefficient(10000, 10000, 2)}\n"
+
+    def test_beyond_int_digit_limit_json(self, no_int_digit_limit):
+        proc = run_python(
+            "-m", "extbinom.cli", "coeff", "10000", "10000", "2", "--json"
+        )
+        value = coefficient(10000, 10000, 2)
+        assert json.loads(proc.stdout) == [
+            {"n": 10000, "k": 10000, "q": 2, "coefficient": value}
+        ]
 
 
 class TestRow:

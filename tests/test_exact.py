@@ -76,6 +76,34 @@ class TestComputeRow:
             compute_row(n, q)
 
 
+class TestRecurrenceRow:
+    """compute_row (three-term recurrence, half a row mirrored) against
+    iter_rows (window sum, the whole row)."""
+
+    @given(n=st.integers(1, 150), q=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_window_route(self, n, q):
+        *_, last = iter_rows(q, n)
+        assert compute_row(n, q).coeffs == last.coeffs
+
+    @pytest.mark.parametrize("n,q", [(333, 3), (7, 5), (1, 1), (3, 1), (5, 7)])
+    def test_odd_row_length_mirror(self, n, q):
+        # n*q odd: the middle pair a_{(nq-1)/2} = a_{(nq+1)/2} straddles
+        # the mirror
+        assert n * q % 2 == 1
+        *_, last = iter_rows(q, n)
+        assert compute_row(n, q).coeffs == last.coeffs
+
+    def test_q1_is_binomial(self):
+        assert compute_row(1000, 1).coeffs == tuple(comb(1000, k) for k in range(1001))
+
+    def test_large_row_sum_and_symmetry(self):
+        cs = compute_row(10000, 2).coeffs
+        assert len(cs) == 20001
+        assert sum(cs) == 3**10000
+        assert cs == cs[::-1]
+
+
 class TestRowInvariants:
     @given(n=st.integers(1, 60), q=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
