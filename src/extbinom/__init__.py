@@ -36,7 +36,6 @@ from extbinom.harness import (
     uniform_error,
 )
 from extbinom.special import (
-    PartitionSolution,
     RationalPolynomial,
     bernoulli,
     enumerate_partition_solutions,
@@ -47,7 +46,6 @@ __all__ = [
     "BigRow",
     "CumulantVector",
     "GaussianPolynomial",
-    "PartitionSolution",
     "RationalPolynomial",
     "SweepRecord",
     "SweepReport",

@@ -25,7 +25,6 @@ class CumulantVector:
     """Cumulants gamma_1..gamma_K of a distribution; gammas[i] is the
     cumulant of order i + 1."""
 
-    q: int
     gammas: tuple[Fraction, ...]
 
     def gamma(self, k: int) -> Fraction:
@@ -61,7 +60,7 @@ def cumulant(k: int, q: int) -> Fraction:
 def cumulants_up_to(order: int, q: int) -> CumulantVector:
     """Cumulants gamma_1..gamma_order of the uniform on {0, ..., q}."""
     _check_kq(order, q)
-    return CumulantVector(q=q, gammas=tuple(cumulant(k, q) for k in range(1, order + 1)))
+    return CumulantVector(gammas=tuple(cumulant(k, q) for k in range(1, order + 1)))
 
 
 def cumulants_from_moments(order: int, q: int) -> CumulantVector:
@@ -81,4 +80,4 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
         for j in range(1, k):
             g -= comb(k - 1, j - 1) * gammas[j - 1] * moments[k - j - 1]
         gammas.append(g)
-    return CumulantVector(q=q, gammas=tuple(gammas))
+    return CumulantVector(gammas=tuple(gammas))

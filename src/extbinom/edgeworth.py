@@ -2,9 +2,12 @@
 coefficient rows.
 
 A correction term is a function ``(1/sqrt(2*pi)) * exp(-x^2/2) * P(x)``
-whose polynomial part P is assembled exactly: a sum of Hermite
-polynomials weighted by cumulant products over constrained multiplicity
-vectors.  Two builders are provided.
+whose polynomial part P is assembled exactly: each multiplicity vector
+(k_1, ..., k_v) with k_1 + 2*k_2 + ... + v*k_v = v adds a cumulant-product
+weight to the Hermite polynomial H_{v+2s}, s = k_1 + ... + k_v.  Both
+builders first sum the weights per s (partial Bell polynomials; Comtet,
+Advanced Combinatorics, 1974, section 3.3), then add one weighted Hermite
+polynomial per s.  Two builders are provided.
 
 ``correction_from_cumulants``
     The general construction for any symmetric lattice distribution,
@@ -33,6 +36,7 @@ double-precision Horner times the Gaussian prefactor ``gaussian(x)`` at
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +63,7 @@ def gaussian(x: float) -> float:
 class GaussianPolynomial:
     """``(1/sqrt(2*pi)) * exp(-x**2/2) * poly(x)`` with exact poly part.
 
-    Immutable; instances are shared freely (the builders memoize them).
+    Immutable; instances are shared freely (uniform_correction memoizes them).
     """
 
     poly: RationalPolynomial
@@ -86,13 +90,14 @@ def correction_from_cumulants(
     k_1 + 2*k_2 + ... + order*k_order = order, the Hermite polynomial of
     degree order + 2*s weighted by
 
-        prod_m (1/k_m!) * (gamma_{m+2} / ((m+2)! * sigma^{m+2}))^{k_m}
+        prod_m (1/k_m!) * (gamma_{m+2} / (m+2)!)^{k_m} / sigma^{order+2s}
 
-    where s = k_1 + ... + k_order.  The algebra stays in the field of
-    sigma^2: each surviving term must carry an even total power of
-    sigma, which holds whenever the odd cumulants vanish.  A term with a
-    nonzero cumulant weight and an odd sigma power raises ValueError,
-    since its coefficient would be irrational in sigma^2.
+    where s = k_1 + ... + k_order; the weights are collected per s first
+    (Petrov, Sums of Independent Random Variables, 1975, ch. VI).  The
+    algebra stays in the field of sigma^2, so order must be even: at odd
+    order any vector with a nonzero cumulant weight raises ValueError,
+    even when the weights of one s cancel.  Every odd order gives the
+    zero polynomial when the odd cumulants vanish.
 
     Requires cumulants up to order + 2.
     """
@@ -105,26 +110,26 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    total = RationalPolynomial([0])
-    for sol in enumerate_partition_solutions(order):
+    by_s = defaultdict(Fraction)
+    for ks in enumerate_partition_solutions(order):
         weight = Fraction(1)
-        sigma_power = 0
-        for m, mult in enumerate(sol.multiplicities, start=1):
+        for m, mult in enumerate(ks, start=1):
             if mult == 0:
                 continue
             weight *= cumulants.gamma(m + 2) ** mult / (
                 factorial(mult) * factorial(m + 2) ** mult
             )
-            sigma_power += (m + 2) * mult
         if weight == 0:
             continue
-        if sigma_power % 2:
+        if order % 2:
             raise ValueError(
                 "term leaves an odd power of sigma: only cumulant inputs with "
                 "vanishing odd cumulants are supported"
             )
-        weight /= variance ** (sigma_power // 2)
-        total = total + weight * hermite(order + 2 * sol.s)
+        by_s[sum(ks)] += weight
+    total = RationalPolynomial([0])
+    for s, weight in by_s.items():
+        total = total + weight / variance ** (order // 2 + s) * hermite(order + 2 * s)
     return GaussianPolynomial(poly=total)
 
 
@@ -142,8 +147,8 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
         prod_m (1/k_{2m}!) * (B_{2(m+1)} * ((q+1)^{2m+2} - 1)
                               / ((2m+2)! * (m+1)))^{k_{2m}}
 
-    with s the total multiplicity.  Even degree 2*(order + s_max), even
-    powers of x only.  The multiplicity vectors are those of
+    with s the total multiplicity, the weights summed per s first.  Even
+    degree 2*(order + s_max), even powers of x only.  The vectors are
     ``enumerate_partition_solutions(order)``, entry i read as slot 2*(i+1).
     """
     if order < 1:
@@ -151,10 +156,10 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
     qq2 = q * (q + 2)
-    total = RationalPolynomial([0])
-    for sol in enumerate_partition_solutions(order):
-        weight = Fraction(6, qq2) ** sol.s
-        for m, mult in enumerate(sol.multiplicities, start=1):
+    by_s = defaultdict(Fraction)
+    for ks in enumerate_partition_solutions(order):
+        weight = Fraction(1)
+        for m, mult in enumerate(ks, start=1):
             if mult == 0:
                 continue
             base = (
@@ -163,7 +168,10 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
                 / (factorial(2 * m + 2) * (m + 1))
             )
             weight *= base**mult / factorial(mult)
-        total = total + weight * hermite(2 * (order + sol.s))
+        by_s[sum(ks)] += weight
+    total = RationalPolynomial([0])
+    for s, weight in by_s.items():
+        total = total + Fraction(6, qq2) ** s * weight * hermite(2 * (order + s))
     return GaussianPolynomial(poly=Fraction(12, qq2) ** order * total)
 
 

@@ -5,7 +5,9 @@ sqrt(q*(q+2)*n/12) * coefficient / (q+1)**n with the integer ratio
 formed exactly and converted to floating point in one step, so there is
 no cancellation even when (q+1)**n has hundreds of digits.  The sup is
 taken over the support {0, ..., n*q}; outside it the exact value is 0
-and the Gaussian tail is below 1e-15 at any scale measured here.
+and the approximation's tail there is far below the errors inside: at
+(n, q) = (50, 1) it is 7.2e-13 at k = -1 (3.1e-12 at order 2), against a
+sup error of 2.0e-3 (4.5e-7 at order 2).
 
 All operations are pure; calls for distinct n are independent and safe
 to run concurrently.

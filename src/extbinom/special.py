@@ -15,7 +15,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -152,19 +151,7 @@ def hermite(m: int) -> RationalPolynomial:
     return h
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
-    """Multiplicity vector (k_1, ..., k_v) with sum(m * k_m) = v."""
-
-    multiplicities: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        """Total number of parts used, k_1 + ... + k_v."""
-        return sum(self.multiplicities)
-
-
-def enumerate_partition_solutions(order: int) -> list[PartitionSolution]:
+def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:
     """All nonnegative (k_1, ..., k_order) with k_1 + 2*k_2 + ... = order.
 
     One solution per integer partition of ``order``.  Emitted by
@@ -173,13 +160,13 @@ def enumerate_partition_solutions(order: int) -> list[PartitionSolution]:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    out: list[PartitionSolution] = []
+    out: list[tuple[int, ...]] = []
     ks = [0] * order
 
     def descend(m: int, remaining: int) -> None:
         if m == 1:
             ks[0] = remaining
-            out.append(PartitionSolution(tuple(ks)))
+            out.append(tuple(ks))
             ks[0] = 0
             return
         for k in range(remaining // m + 1):

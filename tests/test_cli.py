@@ -193,6 +193,16 @@ class TestSweep:
         _, out, _ = run(capsys, "sweep", "2", "--order", "1", "--n-list", "50,100,200")
         assert (tmp_path / "sweep_q2_order1.csv").read_bytes() == out.encode()
 
+    def test_central_ratio_study(self):
+        proc = run_python(
+            str(ROOT / "scripts" / "central_ratio_study.py"),
+            "--q", "2", "--n-start", "25", "--doublings", "3",
+        )
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["25", "50", "100"]
+        for row in rows:
+            assert abs(float(row[-1]) - 0.1875) < 1e-3
+
 
 class TestCumulants:
     def test_mean_row(self, capsys):

@@ -25,6 +25,12 @@ from extbinom import (
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
+# a skewed input: gamma_3 != 0, variance gamma_2 = 1/4
+SKEWED = CumulantVector(
+    gammas=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(-1, 30), Fraction(1, 7))
+)
+
+
 def first_order_scalar(q: int) -> Fraction:
     """Exact multiplier of H_4 in the one-term correction."""
     return Fraction(-((q + 1) ** 4 - 1), 20 * q * q * (q + 2) ** 2)
@@ -74,11 +80,17 @@ class TestGeneralBuilder:
         with pytest.raises(ValueError, match="variance"):
             correction_from_cumulants(3, cv, Fraction(0))
 
-    def test_odd_sigma_power_rejected(self):
-        # a skewed input: gamma_3 != 0 leaves sigma^3 standing at order 1
-        skewed = CumulantVector(q=1, gammas=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)))
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_odd_sigma_power_rejected(self, order):
+        # gamma_3 != 0 leaves sigma^(order+2s) odd: sigma^3 at order 1
         with pytest.raises(ValueError, match="odd power of sigma"):
-            correction_from_cumulants(1, skewed, Fraction(1, 4))
+            correction_from_cumulants(order, SKEWED, Fraction(1, 4))
+
+    def test_order_two_skewed(self):
+        # gamma_4/(24 sigma^4) H_4 + gamma_3^2/(72 sigma^6) H_6 with
+        # gamma_3 = 1/10, gamma_4 = -1/30, sigma^2 = 1/4
+        built = correction_from_cumulants(2, SKEWED, Fraction(1, 4))
+        assert built.poly == Fraction(-1, 45) * hermite(4) + Fraction(2, 225) * hermite(6)
 
     def test_order_domain_error(self):
         with pytest.raises(ValueError):
@@ -94,11 +106,21 @@ class TestUniformBuilder:
         assert uniform_correction(1, q).poly == first_order_scalar(q) * hermite(4)
 
     @pytest.mark.parametrize("q", range(1, 6))
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", range(1, 7))
     def test_matches_general_route(self, order, q):
         cv = cumulants_up_to(2 * order + 2, q)
         general = correction_from_cumulants(2 * order, cv, cumulant(2, q))
         assert uniform_correction(order, q).poly == general.poly
+
+    def test_fourth_order_q2_coefficients(self):
+        # first order at which two partitions share a part count s
+        even = [
+            Fraction(6699, 524288), Fraction(11583, 327680), Fraction(-3333, 131072),
+            Fraction(-41173, 327680), Fraction(737187, 9175040), Fraction(-22319, 1376256),
+            Fraction(282973, 206438400), Fraction(-49, 983040), Fraction(1, 1572864),
+        ]
+        expected = tuple(c for e in even for c in (e, 0))[:-1]
+        assert uniform_correction(4, 2).poly.coeffs == expected
 
     def test_second_order_degree_and_parity(self):
         poly = uniform_correction(2, 2).poly

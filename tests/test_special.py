@@ -109,12 +109,12 @@ class TestHermite:
 
 class TestPartitionSolutions:
     def test_small_cases(self):
-        assert {p.multiplicities for p in enumerate_partition_solutions(1)} == {(1,)}
-        assert {p.multiplicities for p in enumerate_partition_solutions(2)} == {
+        assert set(enumerate_partition_solutions(1)) == {(1,)}
+        assert set(enumerate_partition_solutions(2)) == {
             (2, 0),
             (0, 1),
         }
-        assert {p.multiplicities for p in enumerate_partition_solutions(3)} == {
+        assert set(enumerate_partition_solutions(3)) == {
             (3, 0, 0),
             (1, 1, 0),
             (0, 0, 1),
@@ -131,11 +131,7 @@ class TestPartitionSolutions:
             for ks in itertools.product(range(v + 1), repeat=v)
             if sum((m + 1) * k for m, k in enumerate(ks)) == v
         }
-        assert {p.multiplicities for p in enumerate_partition_solutions(v)} == brute
-
-    def test_s_field(self):
-        for p in enumerate_partition_solutions(4):
-            assert p.s == sum(p.multiplicities)
+        assert set(enumerate_partition_solutions(v)) == brute
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
