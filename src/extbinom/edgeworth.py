@@ -110,15 +110,13 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
+    bases = [cumulants.gamma(m + 2) / factorial(m + 2) for m in range(1, order + 1)]
     by_s = defaultdict(Fraction)
     for ks in enumerate_partition_solutions(order):
         weight = Fraction(1)
-        for m, mult in enumerate(ks, start=1):
-            if mult == 0:
-                continue
-            weight *= cumulants.gamma(m + 2) ** mult / (
-                factorial(mult) * factorial(m + 2) ** mult
-            )
+        for base, mult in zip(bases, ks):
+            if mult:
+                weight *= base**mult / factorial(mult)
         if weight == 0:
             continue
         if order % 2:
@@ -147,8 +145,10 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
         prod_m (1/k_{2m}!) * (B_{2(m+1)} * ((q+1)^{2m+2} - 1)
                               / ((2m+2)! * (m+1)))^{k_{2m}}
 
-    with s the total multiplicity, the weights summed per s first.  Even
-    degree 2*(order + s_max), even powers of x only.  The vectors are
+    with s the total multiplicity, the weights summed per s first.  The
+    Bernoulli bases (the bracket raised to k_{2m}) depend only on m and q,
+    so they are computed once per m, not once per vector.  Even degree
+    2*(order + s_max), even powers of x only.  The vectors are
     ``enumerate_partition_solutions(order)``, entry i read as slot 2*(i+1).
     """
     if order < 1:
@@ -156,18 +156,17 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
     qq2 = q * (q + 2)
+    bases = [
+        bernoulli(2 * m + 2) * ((q + 1) ** (2 * m + 2) - 1)
+        / (factorial(2 * m + 2) * (m + 1))
+        for m in range(1, order + 1)
+    ]
     by_s = defaultdict(Fraction)
     for ks in enumerate_partition_solutions(order):
         weight = Fraction(1)
-        for m, mult in enumerate(ks, start=1):
-            if mult == 0:
-                continue
-            base = (
-                bernoulli(2 * (m + 1))
-                * ((q + 1) ** (2 * m + 2) - 1)
-                / (factorial(2 * m + 2) * (m + 1))
-            )
-            weight *= base**mult / factorial(mult)
+        for base, mult in zip(bases, ks):
+            if mult:
+                weight *= base**mult / factorial(mult)
         by_s[sum(ks)] += weight
     total = RationalPolynomial([0])
     for s, weight in by_s.items():

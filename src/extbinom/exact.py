@@ -114,7 +114,6 @@ def coefficient(n: int, k: int, q: int) -> int:
 
     Reduces to the ordinary binomial coefficient C(n, k) at q = 1.
     """
-    _check_nq(n, q)
     return compute_row(n, q).coefficient(k)
 
 
@@ -133,5 +132,4 @@ def composition_count(k: int, n: int, q: int) -> int:
 def scaled_probability(n: int, k: int, q: int) -> Fraction:
     """P(S_n = k) for S_n a sum of n independent uniforms on {0, ..., q},
     as an exact rational."""
-    _check_nq(n, q)
     return Fraction(coefficient(n, k, q), (q + 1) ** n)

@@ -10,7 +10,9 @@ Conventions
   both common sign conventions agree.
 * Hermite polynomials are the probabilist's family, orthogonal for the
   weight ``exp(-x^2/2)``: ``H_2 = x^2 - 1``.  This is NOT the
-  physicist's family (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).
+  physicist's family (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).  Their
+  coefficients are integers, read off the closed form (DLMF section
+  18.5).
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class RationalPolynomial:
     points is exact; at anything else (floats, numpy arrays) it runs a
     floating Horner scheme on float coefficients converted once, on the
     first such call.
+
+    Supports what the correction builders need and no more: ``p + r``,
+    ``c * p`` and ``p * c`` for an int or Fraction scalar c, ``==``,
+    hashing, ``repr``, ``degree`` and ``is_zero``.
     """
 
     __slots__ = ("coeffs", "_floats")
@@ -67,11 +73,6 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:] or [0]
-        )
-
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -81,21 +82,7 @@ class RationalPolynomial:
             out[i] += c
         return RationalPolynomial(out)
 
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial([c * other for c in self.coeffs])
         return NotImplemented
@@ -134,21 +121,22 @@ def bernoulli(m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def hermite(m: int) -> RationalPolynomial:
-    """Probabilist's Hermite polynomial H_m, exact coefficients.
+    """Probabilist's Hermite polynomial H_m, exact integer coefficients.
 
-    Three-term recurrence: H_0 = 1, H_1 = x,
-    H_{m+1}(x) = x*H_m(x) - m*H_{m-1}(x).
+    Closed form (DLMF section 18.5): the coefficient of x^(m-2j) is
+    (-1)^j m! / (j! (m-2j)! 2^j) for j = 0..m//2, and every coefficient
+    of the other parity is zero.  Each coefficient follows from the
+    previous one by an exact integer step, so H_m costs O(m) integer
+    operations.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    h_prev = RationalPolynomial([1])
-    if m == 0:
-        return h_prev
-    x = RationalPolynomial([0, 1])
-    h = x
-    for j in range(1, m):
-        h_prev, h = h, x * h - j * h_prev
-    return h
+    coeffs = [0] * (m + 1)
+    c = 1
+    for j in range(m // 2 + 1):
+        coeffs[m - 2 * j] = c
+        c = -c * (m - 2 * j) * (m - 2 * j - 1) // (2 * (j + 1))
+    return RationalPolynomial(coeffs)
 
 
 def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:

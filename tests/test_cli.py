@@ -153,6 +153,13 @@ class TestExpand:
             abs(by_term["exact"] - by_term["total"]), abs=1e-15
         )
 
+    def test_k_beyond_float_range_exit_2(self, capsys):
+        # standardizing k = 10**400 overflows the float conversion
+        code, out, err = run(capsys, "expand", "5", str(10**400), "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestSweep:
     def test_csv_footer_and_slope(self, capsys):
