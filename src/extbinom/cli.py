@@ -255,17 +255,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # integers are printed exactly at any size, past the interpreter's
-    # digit limit for int-to-str conversion, where it has one
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is not None:
-        set_limit(0)
-    args = build_parser().parse_args(argv)
+    # digit limit for int-to-str conversion, where it has one; the
+    # caller's limit is restored on the way out
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old_limit = get_limit() if get_limit is not None else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        args = build_parser().parse_args(argv)
+        try:
+            args.func(args)
+        except (ValueError, OverflowError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return 0
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def entrypoint() -> None:

@@ -28,9 +28,9 @@ span 1 (support not contained in any coarser progression a + h*Z with
 h > 1).  The uniform on {0, ..., q} has adjacent support points, so the
 condition holds automatically and is not exposed as a parameter.
 
-Polynomial coefficients stay rational until evaluation; evaluation is
-double-precision Horner times the Gaussian prefactor ``gaussian(x)`` at
-``x = standardize(n, k, q)``, all in ``approximate_scaled``.
+Coefficients stay rational until ``approximate_scaled`` evaluates them:
+double-precision Horner times ``gaussian(x)`` at ``x = standardize(n, k,
+q)``, for one k or elementwise, with the same bits, over an array of k.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from numbers import Real
 
 from extbinom.cumulants import CumulantVector
 from extbinom.exact import _check_nq
@@ -54,9 +55,14 @@ from extbinom.special import (
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def gaussian(x: float) -> float:
-    """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2)."""
-    return math.exp(-0.5 * x * x) / SQRT_2PI
+def gaussian(x):
+    """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2) at a real x,
+    or over a float array still by math.exp at each point: numpy's exp
+    can differ from it in the last place, and by CPU."""
+    if isinstance(x, Real):
+        return math.exp(-0.5 * x * x) / SQRT_2PI
+    import numpy as np
+    return np.array([gaussian(t) for t in x.tolist()])
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    bases = [cumulants.gamma(m + 2) / factorial(m + 2) for m in range(1, order + 1)]
+    bases = [Fraction(cumulants.gamma(m), factorial(m)) for m in range(3, order + 3)]
     by_s = defaultdict(Fraction)
     for ks in enumerate_partition_solutions(order):
         weight = Fraction(1)
@@ -174,11 +180,12 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     return GaussianPolynomial(poly=Fraction(12, qq2) ** order * total)
 
 
-def approximate_scaled(n: int, k: int, q: int, order: int = 0) -> float:
+def approximate_scaled(n: int, k, q: int, order: int = 0):
     """Approximate sqrt(q*(q+2)*n/12) * P(S_n = k), i.e. the exact row
     value scaled to density height, by the Gaussian density at the
     standardized point plus the first ``order`` correction terms (term v
-    weighted by n**-v).
+    weighted by n**-v).  For an integer numpy array of k it returns the
+    float array of the scalar results, bit for bit.
 
     order = 0 is the plain normal approximation.  The sup-over-k error
     decays empirically like n**-(order+1).

@@ -44,10 +44,6 @@ class BigRow:
             return self.coeffs[k]
         return 0
 
-    @property
-    def support(self) -> range:
-        return range(self.n * self.q + 1)
-
 
 def _check_nq(n: int, q: int) -> None:
     if n < 1:

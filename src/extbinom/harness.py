@@ -56,19 +56,16 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
 
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|,
-    and the k attaining it."""
+    and the first k attaining it, with the approximation evaluated over
+    the whole row in one ``approximate_scaled`` call."""
+    import numpy as np
+
     row = compute_row(n, q)
     denom = (q + 1) ** n
-    scale = _scale(n, q)
-    sup_error = -1.0
-    argmax_k = -1
-    for k in row.support:
-        exact = (row.coeffs[k] / denom) * scale
-        err = abs(exact - approximate_scaled(n, k, q, order))
-        if err > sup_error:
-            sup_error = err
-            argmax_k = k
-    return sup_error, argmax_k
+    exact = np.array([c / denom for c in row.coeffs]) * _scale(n, q)
+    err = np.abs(exact - approximate_scaled(n, np.arange(n * q + 1), q, order))
+    k = int(np.argmax(err))
+    return float(err[k]), k
 
 
 def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:

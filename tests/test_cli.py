@@ -271,10 +271,37 @@ class TestFormatContracts:
         assert exc.value.code == 2
 
 
-def test_exact_commands_do_not_import_numpy():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "4", "4", "2"],
+        ["row", "2", "2"],
+        ["expand", "100", "100", "2", "--order", "2", "--terms"],
+    ],
+    ids=["coeff", "row", "expand"],
+)
+def test_scalar_commands_do_not_import_numpy(argv):
+    # importing numpy is most of a short command's run time
     run_python("-c", (
         "import sys\n"
         "from extbinom.cli import main\n"
-        "assert main(['coeff', '4', '4', '2']) == 0\n"
+        f"assert main({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
     ))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="interpreter has no int/str digit limit",
+)
+@pytest.mark.parametrize(
+    "argv", [["coeff", "4", "4", "2"], ["coeff", "0", "0", "2"]], ids=["ok", "error"]
+)
+def test_main_restores_int_digit_limit(capsys, argv):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)

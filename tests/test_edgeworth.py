@@ -96,6 +96,14 @@ class TestGeneralBuilder:
         with pytest.raises(ValueError):
             correction_from_cumulants(0, cumulants_up_to(4, 1), Fraction(1, 4))
 
+    def test_int_cumulants_stay_exact(self):
+        ints = CumulantVector(gammas=(0, 1, 0, 1, 0, 1))
+        fractions = CumulantVector(gammas=tuple(map(Fraction, ints.gammas)))
+        for order in (2, 4):
+            assert correction_from_cumulants(order, ints, 1) == (
+                correction_from_cumulants(order, fractions, 1)
+            )
+
 
 class TestUniformBuilder:
     def test_q1_first_order(self):
@@ -175,3 +183,15 @@ class TestApproximateScaled:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             approximate_scaled(10, 5, 1, -1)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_row_array_equals_scalar_calls(self, q):
+        # bitwise, not approximately: numpy's exp in place of math.exp
+        # changes the last place at some of these points
+        for n in (1, 7, 50, 400):
+            ks = np.arange(n * q + 1)
+            for order in range(4):
+                row = approximate_scaled(n, ks, q, order)
+                assert row.tolist() == [
+                    approximate_scaled(n, k, q, order) for k in range(n * q + 1)
+                ]

@@ -112,7 +112,7 @@ class TestRowInvariants:
         assert len(row.coeffs) == n * q + 1
         assert sum(row.coeffs) == (q + 1) ** n
         assert row.coeffs[0] == row.coeffs[-1] == 1
-        for k in row.support:
+        for k in range(len(row.coeffs)):
             assert row.coeffs[k] == row.coeffs[n * q - k]
 
     @given(n=st.integers(1, 40), q=st.integers(1, 6))

@@ -8,7 +8,9 @@ import math
 import pytest
 
 from extbinom import (
+    approximate_scaled,
     central_ratio,
+    compute_row,
     exact_scaled_value,
     first_order_cross_check,
     rate_sweep,
@@ -43,6 +45,24 @@ class TestUniformError:
         sup0, _ = uniform_error(100, 2, 0)
         sup1, _ = uniform_error(100, 2, 1)
         assert sup1 < sup0
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_equals_scalar_loop(self, q):
+        # the per-k scan uniform_error replaced: strict > keeps the first
+        # k attaining the sup
+        for n in (1, 7, 50, 400):
+            scale = math.sqrt(q * (q + 2) * n / 12)
+            coeffs = compute_row(n, q).coeffs
+            for order in range(4):
+                sup, argmax = -1.0, -1
+                for k, c in enumerate(coeffs):
+                    exact = (c / (q + 1) ** n) * scale
+                    err = abs(exact - approximate_scaled(n, k, q, order))
+                    if err > sup:
+                        sup, argmax = err, k
+                result = uniform_error(n, q, order)
+                assert result == (sup, argmax)
+                assert type(result[0]) is float and type(result[1]) is int
 
 
 class TestRateSweep:
