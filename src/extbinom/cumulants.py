@@ -66,18 +66,24 @@ def cumulants_up_to(order: int, q: int) -> CumulantVector:
 def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     """Same cumulants derived from raw moments, as an independent check.
 
-    Raw moments m_j = (1/(q+1)) * sum_{v=0..q} v**j are exact rationals;
-    the conversion is the usual recursion
-    gamma_k = m_k - sum_{j=1..k-1} C(k-1, j-1) * gamma_j * m_{k-j}.
+    The raw moments are m_j = S_j / Q with the power sums
+    S_j = sum_{v=0..q} v**j and Q = q + 1; the conversion is the usual
+    recursion gamma_k = m_k - sum_{j=1..k-1} C(k-1, j-1) gamma_j m_{k-j}.
+    It runs in integers on Gamma_k = gamma_k * Q**k:
+
+        Gamma_k = S_k Q^(k-1) - sum_{j=1..k-1} C(k-1, j-1) Gamma_j S_{k-j} Q^(k-j-1)
+
+    and each cumulant is returned as Fraction(Gamma_k, Q**k).
     """
     _check_kq(order, q)
-    moments = [
-        Fraction(sum(v**j for v in range(q + 1)), q + 1) for j in range(1, order + 1)
-    ]
-    gammas: list[Fraction] = []
+    big_q = q + 1
+    sums = [sum(v**j for v in range(big_q)) for j in range(order + 1)]
+    scaled: list[int] = []  # scaled[k - 1] = Gamma_k
     for k in range(1, order + 1):
-        g = moments[k - 1]
+        g = sums[k] * big_q ** (k - 1)
         for j in range(1, k):
-            g -= comb(k - 1, j - 1) * gammas[j - 1] * moments[k - j - 1]
-        gammas.append(g)
-    return CumulantVector(gammas=tuple(gammas))
+            g -= comb(k - 1, j - 1) * scaled[j - 1] * sums[k - j] * big_q ** (k - j - 1)
+        scaled.append(g)
+    return CumulantVector(
+        gammas=tuple(Fraction(g, big_q**k) for k, g in enumerate(scaled, 1))
+    )

@@ -2,23 +2,27 @@
 coefficient rows.
 
 A correction term is a function ``(1/sqrt(2*pi)) * exp(-x^2/2) * P(x)``
-whose polynomial part P is assembled exactly: each multiplicity vector
-(k_1, ..., k_v) with k_1 + 2*k_2 + ... + v*k_v = v adds a cumulant-product
-weight to the Hermite polynomial H_{v+2s}, s = k_1 + ... + k_v.  Both
-builders first sum the weights per s (partial Bell polynomials; Comtet,
-Advanced Combinatorics, 1974, section 3.3), then add one weighted Hermite
-polynomial per s.  Two builders are provided.
+whose polynomial part P is assembled exactly: P = sum_s w_s H_{d_s}, one
+Hermite polynomial per part count s.  The weight w_s is a partial Bell
+polynomial in the cumulant bases, ``[t^v] G(t)^s / s!`` for the power
+series G(t) = sum_m base_m t^m (Comtet, Advanced Combinatorics, 1974,
+section 3.3), read off a power series instead of summed over the
+partitions of v.  The sum over s is formed in integers over the common
+denominator of the weights, since the Hermite coefficients are integers.
+Two builders are provided, each with its own series algorithm.
 
 ``correction_from_cumulants``
     The general construction for any symmetric lattice distribution,
-    given its cumulants and variance.  The term of order v pairs with
-    n**(-v/2) in the series.
+    given its cumulants and variance, by the J.C.P. Miller recurrence
+    for exp(y G(t)).  The term of order v pairs with n**(-v/2) in the
+    series.
 
 ``uniform_correction``
     The closed form specific to the uniform distribution on
-    {0, ..., q}, written directly in Bernoulli numbers.  Because all
-    odd cumulants of the uniform vanish, only even general terms
-    survive, and ``uniform_correction(v, q)`` equals
+    {0, ..., q}, written directly in Bernoulli numbers, by successive
+    integer powers of G.  Because all odd cumulants of the uniform
+    vanish, only even general terms survive, and
+    ``uniform_correction(v, q)`` equals
     ``correction_from_cumulants(2*v, ...)``; the term of order v pairs
     with n**-v.  The two routes must agree coefficient by coefficient,
     which the test suite asserts exactly.
@@ -36,7 +40,6 @@ q)``, for one k or elementwise, with the same bits, over an array of k.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +51,6 @@ from extbinom.exact import _check_nq
 from extbinom.special import (
     RationalPolynomial,
     bernoulli,
-    enumerate_partition_solutions,
     hermite,
 )
 
@@ -87,23 +89,44 @@ def standardize(n: int, k: int, q: int) -> float:
     return delta * math.sqrt(3.0 / (q * (q + 2) * n))
 
 
+def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
+    """sum_d weights[d] * H_d, assembled in integers.
+
+    The Hermite coefficients are integers, so every weight is brought to
+    the lcm D of the weights' denominators, each coefficient is summed as
+    an int, and one Fraction(sum, D) is built per coefficient.
+    """
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    coeffs = [0] * (max(weights, default=0) + 1)
+    for d, w in weights.items():
+        scale = w.numerator * (den // w.denominator)
+        h = hermite(d).coeffs
+        for j in range(d % 2, d + 1, 2):
+            coeffs[j] += scale * h[j].numerator
+    return RationalPolynomial([Fraction(c, den) for c in coeffs])
+
+
 def correction_from_cumulants(
     order: int, cumulants: CumulantVector, variance: Fraction
 ) -> GaussianPolynomial:
     """Correction term of the given order built from raw cumulants.
 
-    Sums, over every multiplicity vector (k_1, ..., k_order) with
-    k_1 + 2*k_2 + ... + order*k_order = order, the Hermite polynomial of
-    degree order + 2*s weighted by
+    The polynomial part is
 
-        prod_m (1/k_m!) * (gamma_{m+2} / (m+2)!)^{k_m} / sigma^{order+2s}
+        sum_s  [t^order] G(t)^s / s!  *  H_{order+2s}(x) / sigma^{order+2s}
 
-    where s = k_1 + ... + k_order; the weights are collected per s first
-    (Petrov, Sums of Independent Random Variables, 1975, ch. VI).  The
-    algebra stays in the field of sigma^2, so order must be even: at odd
-    order any vector with a nonzero cumulant weight raises ValueError,
-    even when the weights of one s cancel.  Every odd order gives the
-    zero polynomial when the odd cumulants vanish.
+    with G(t) = sum_k g_k t^k and g_k = gamma_{k+2} / (k+2)!  (Petrov,
+    Sums of Independent Random Variables, 1975, ch. VI).  The weights
+    [t^order] G^s / s! are the coefficients of y^s in F_order(y), where
+    F(t, y) = exp(y G(t)) = sum_n F_n(y) t^n obeys the J.C.P. Miller
+    recurrence n F_n = y sum_k k g_k F_{n-k}, F_0 = 1 (Knuth, TAOCP
+    Vol. 2, section 4.7); the k with g_k = 0 are skipped.
+
+    The algebra stays in the field of sigma^2, so order must be even: an
+    odd order raises ValueError whenever some product of the g_k has a
+    nonzero weight, i.e. whenever order is a sum of k with g_k != 0, even
+    when the weights of one s cancel.  Every odd order gives the zero
+    polynomial when the odd cumulants vanish.
 
     Requires cumulants up to order + 2.
     """
@@ -116,25 +139,35 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    bases = [Fraction(cumulants.gamma(m), factorial(m)) for m in range(3, order + 3)]
-    by_s = defaultdict(Fraction)
-    for ks in enumerate_partition_solutions(order):
-        weight = Fraction(1)
-        for base, mult in zip(bases, ks):
-            if mult:
-                weight *= base**mult / factorial(mult)
-        if weight == 0:
-            continue
-        if order % 2:
+    steps = []  # (k, k * g_k) for the k with g_k != 0
+    for k in range(1, order + 1):
+        g = Fraction(cumulants.gamma(k + 2), factorial(k + 2))
+        if g:
+            steps.append((k, k * g))
+    if order % 2:
+        reachable = [True] + [False] * order
+        for n in range(1, order + 1):
+            reachable[n] = any(reachable[n - k] for k, _ in steps if k <= n)
+        if reachable[order]:
             raise ValueError(
                 "term leaves an odd power of sigma: only cumulant inputs with "
                 "vanishing odd cumulants are supported"
             )
-        by_s[sum(ks)] += weight
-    total = RationalPolynomial([0])
-    for s, weight in by_s.items():
-        total = total + weight / variance ** (order // 2 + s) * hermite(order + 2 * s)
-    return GaussianPolynomial(poly=total)
+    # series[n] maps s to the coefficient of y^s in F_n(y)
+    series: list[dict[int, Fraction]] = [{0: Fraction(1)}]
+    for n in range(1, order + 1):
+        f: dict[int, Fraction] = {}
+        for k, kg in steps:
+            if k > n:
+                break
+            for s, c in series[n - k].items():
+                f[s + 1] = f.get(s + 1, 0) + kg * c
+        series.append({s: c / n for s, c in f.items()})
+    return GaussianPolynomial(poly=_hermite_sum({
+        order + 2 * s: c / variance ** (order // 2 + s)
+        for s, c in series[order].items()
+        if c
+    }))
 
 
 @lru_cache(maxsize=None)
@@ -144,18 +177,15 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
 
     The polynomial part is
 
-        (12/(q(q+2)))^order * sum over (k_2, k_4, ..., k_{2*order}) with
-        k_2 + 2*k_4 + ... + order*k_{2*order} = order of
+        sum_s  (12/(q(q+2)))^order * (6/(q(q+2)))^s
+               * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
 
-        H_{2(order+s)}(x) * (6/(q(q+2)))^s *
-        prod_m (1/k_{2m}!) * (B_{2(m+1)} * ((q+1)^{2m+2} - 1)
-                              / ((2m+2)! * (m+1)))^{k_{2m}}
-
-    with s the total multiplicity, the weights summed per s first.  The
-    Bernoulli bases (the bracket raised to k_{2m}) depend only on m and q,
-    so they are computed once per m, not once per vector.  Even degree
-    2*(order + s_max), even powers of x only.  The vectors are
-    ``enumerate_partition_solutions(order)``, entry i read as slot 2*(i+1).
+    with G(t) = sum_{m>=1} b_m t^m and the Bernoulli bases
+    b_m = B_{2(m+1)} ((q+1)^{2m+2} - 1) / ((2m+2)! (m+1)).  The bases
+    are brought to their common denominator L, so G = N(t) / L with
+    integer N, and the successive powers N^s, truncated at t^order, are
+    integer polynomials: [t^order] G^s = [t^order] N^s / L^s.  Even
+    degree 2*(order + s_max), even powers of x only.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -167,17 +197,20 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
         / (factorial(2 * m + 2) * (m + 1))
         for m in range(1, order + 1)
     ]
-    by_s = defaultdict(Fraction)
-    for ks in enumerate_partition_solutions(order):
-        weight = Fraction(1)
-        for base, mult in zip(bases, ks):
-            if mult:
-                weight *= base**mult / factorial(mult)
-        by_s[sum(ks)] += weight
-    total = RationalPolynomial([0])
-    for s, weight in by_s.items():
-        total = total + Fraction(6, qq2) ** s * weight * hermite(2 * (order + s))
-    return GaussianPolynomial(poly=Fraction(12, qq2) ** order * total)
+    den = math.lcm(*(b.denominator for b in bases))
+    numer = [0] + [b.numerator * (den // b.denominator) for b in bases]
+    weights = {}
+    power = [1] + [0] * order  # N^(s-1), truncated at t^order
+    for s in range(1, order + 1):
+        power = [0] * s + [
+            sum(power[i] * numer[d - i] for i in range(s - 1, d))
+            for d in range(s, order + 1)
+        ]
+        weights[2 * (order + s)] = Fraction(
+            12**order * 6**s * power[order],
+            qq2 ** (order + s) * den**s * factorial(s),
+        )
+    return GaussianPolynomial(poly=_hermite_sum(weights))
 
 
 def approximate_scaled(n: int, k, q: int, order: int = 0):

@@ -35,9 +35,10 @@ class RationalPolynomial:
     floating Horner scheme on float coefficients converted once, on the
     first such call.
 
-    Supports what the correction builders need and no more: ``p + r``,
-    ``c * p`` and ``p * c`` for an int or Fraction scalar c, ``==``,
-    hashing, ``repr``, ``degree`` and ``is_zero``.
+    Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
+    scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
+    correction builders assemble their sums in integers instead; the
+    arithmetic serves the tests' partition oracles and worked identities.
     """
 
     __slots__ = ("coeffs", "_floats")
@@ -144,7 +145,9 @@ def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:
 
     One solution per integer partition of ``order``.  Emitted by
     recursive descent on the largest part index; callers must not rely
-    on the order (set semantics).
+    on the order (set semantics).  The correction builders no longer
+    enumerate partitions: this serves the tests as the oracle for their
+    power series, and the benchmark as a partition counter.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

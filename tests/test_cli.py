@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from extbinom import coefficient
-from extbinom.cli import main
+from extbinom import cli, coefficient
+from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 ROOT = Path(__file__).resolve().parents[1]
@@ -243,6 +243,40 @@ class TestQpoly:
 
     def test_nu_zero_exit_2(self, capsys):
         assert run(capsys, "qpoly", "3", "--nu", "0")[0] == 2
+
+
+class WorkStarted(Exception):
+    pass
+
+
+class TestOrderLimits:
+    """Each order option is checked against its limit before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise WorkStarted
+        for name in ("exact_scaled_value", "approximate_scaled", "rate_sweep",
+                     "cumulants_up_to", "uniform_correction"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "template,option,limit",
+        [
+            ("expand 3 1 2 --order {}", "--order", MAX_ORDER),
+            ("expand 3 1 2 --terms --order {} --json", "--order", MAX_ORDER),
+            ("sweep 2 --order {}", "--order", MAX_ORDER),
+            ("qpoly 3 --nu {}", "--nu", MAX_ORDER),
+            ("cumulants 8 --max-order {} --oracle", "--max-order", MAX_CUMULANT_ORDER),
+        ],
+        ids=["expand", "expand-terms-json", "sweep", "qpoly", "cumulants"],
+    )
+    def test_refused_above_limit(self, capsys, no_work, template, option, limit):
+        with pytest.raises(WorkStarted):
+            main(template.format(limit).split())
+        code, out, err = run(capsys, *template.format(limit + 1).split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} {limit + 1} exceeds the limit of {limit}\n"
 
 
 class TestFormatContracts:

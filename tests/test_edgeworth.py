@@ -4,6 +4,7 @@ odd-order terms, and evaluation of the truncated expansion."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 
 from extbinom import (
     CumulantVector,
+    RationalPolynomial,
     approximate_scaled,
+    bernoulli,
     correction_from_cumulants,
     cumulant,
     cumulants_up_to,
+    enumerate_partition_solutions,
     hermite,
     standardize,
     uniform_correction,
@@ -29,6 +33,55 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 SKEWED = CumulantVector(
     gammas=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(-1, 30), Fraction(1, 7))
 )
+
+
+def partition_weights(order: int, bases) -> dict[int, Fraction]:
+    """Oracle for the series weights: the sum over every multiplicity
+    vector (k_1, ..., k_order) with k_1 + 2*k_2 + ... = order of
+    prod_m bases[m-1]**k_m / k_m!, per part count s = sum k_m.  An s is
+    present iff some vector with s parts has a nonzero product, even when
+    the products of that s cancel."""
+    by_s = defaultdict(Fraction)
+    for ks in enumerate_partition_solutions(order):
+        weight = Fraction(1)
+        for base, mult in zip(bases, ks):
+            if mult:
+                weight *= base**mult / math.factorial(mult)
+        if weight:
+            by_s[sum(ks)] += weight
+    return by_s
+
+
+def oracle_uniform(order: int, q: int) -> RationalPolynomial:
+    """uniform_correction(order, q).poly by partition enumeration."""
+    qq2 = q * (q + 2)
+    bases = [
+        bernoulli(2 * m + 2) * ((q + 1) ** (2 * m + 2) - 1)
+        / (math.factorial(2 * m + 2) * (m + 1))
+        for m in range(1, order + 1)
+    ]
+    total = RationalPolynomial([0])
+    for s, weight in partition_weights(order, bases).items():
+        total = total + Fraction(6, qq2) ** s * weight * hermite(2 * (order + s))
+    return Fraction(12, qq2) ** order * total
+
+
+def oracle_general(order: int, cumulants, variance: Fraction) -> RationalPolynomial:
+    """correction_from_cumulants(order, ...).poly by partition
+    enumeration; raises the same ValueError at odd order."""
+    bases = [
+        Fraction(cumulants.gamma(m), math.factorial(m)) for m in range(3, order + 3)
+    ]
+    by_s = partition_weights(order, bases)
+    if order % 2 and by_s:
+        raise ValueError(
+            "term leaves an odd power of sigma: only cumulant inputs with "
+            "vanishing odd cumulants are supported"
+        )
+    total = RationalPolynomial([0])
+    for s, weight in by_s.items():
+        total = total + weight / variance ** (order // 2 + s) * hermite(order + 2 * s)
+    return total
 
 
 def first_order_scalar(q: int) -> Fraction:
@@ -104,6 +157,28 @@ class TestGeneralBuilder:
                 correction_from_cumulants(order, fractions, 1)
             )
 
+    @given(data=st.data(), order=st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_partition_oracle(self, data, order):
+        # random rationals, each cumulant zero with probability about 1/2,
+        # so that some orders are sums of the nonzero indices and some not
+        fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20))
+        gamma = st.one_of(st.just(Fraction(0)), fractions)
+        cv = CumulantVector(gammas=tuple(data.draw(st.lists(
+            gamma, min_size=order + 2, max_size=order + 2
+        ))))
+        variance = data.draw(
+            st.builds(Fraction, st.integers(1, 20), st.integers(1, 20))
+        )
+        try:
+            expected = oracle_general(order, cv, variance)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as built:
+                correction_from_cumulants(order, cv, variance)
+            assert str(built.value) == str(exc)
+        else:
+            assert correction_from_cumulants(order, cv, variance).poly == expected
+
 
 class TestUniformBuilder:
     def test_q1_first_order(self):
@@ -119,6 +194,11 @@ class TestUniformBuilder:
         cv = cumulants_up_to(2 * order + 2, q)
         general = correction_from_cumulants(2 * order, cv, cumulant(2, q))
         assert uniform_correction(order, q).poly == general.poly
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_matches_partition_oracle(self, q):
+        for order in range(1, 17):
+            assert uniform_correction(order, q).poly == oracle_uniform(order, q)
 
     def test_fourth_order_q2_coefficients(self):
         # first order at which two partitions share a part count s
