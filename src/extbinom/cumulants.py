@@ -67,9 +67,11 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     """Same cumulants derived from raw moments, as an independent check.
 
     The raw moments are m_j = S_j / Q with the power sums
-    S_j = sum_{v=0..q} v**j and Q = q + 1; the conversion is the usual
-    recursion gamma_k = m_k - sum_{j=1..k-1} C(k-1, j-1) gamma_j m_{k-j}.
-    It runs in integers on Gamma_k = gamma_k * Q**k:
+    S_j = sum_{v=0..q} v**j and Q = q + 1, each S_j from the lower ones
+    by Pascal's identity sum_{i=0..j} C(j+1, i) S_i = Q^(j+1), so the
+    cost does not grow with q and no Bernoulli number enters; the usual
+    recursion gamma_k = m_k - sum_{j=1..k-1} C(k-1, j-1) gamma_j m_{k-j}
+    converts them.  It runs in integers on Gamma_k = gamma_k * Q**k:
 
         Gamma_k = S_k Q^(k-1) - sum_{j=1..k-1} C(k-1, j-1) Gamma_j S_{k-j} Q^(k-j-1)
 
@@ -77,9 +79,11 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     """
     _check_kq(order, q)
     big_q = q + 1
-    sums = [sum(v**j for v in range(big_q)) for j in range(order + 1)]
+    sums = [big_q]  # sums[j] = S_j, each added by Pascal's identity
     scaled: list[int] = []  # scaled[k - 1] = Gamma_k
     for k in range(1, order + 1):
+        lower = sum(comb(k + 1, i) * s for i, s in enumerate(sums))
+        sums.append((big_q ** (k + 1) - lower) // (k + 1))
         g = sums[k] * big_q ** (k - 1)
         for j in range(1, k):
             g -= comb(k - 1, j - 1) * scaled[j - 1] * sums[k - j] * big_q ** (k - j - 1)

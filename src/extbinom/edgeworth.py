@@ -59,12 +59,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def gaussian(x):
     """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2) at a real x,
-    or over a float array still by math.exp at each point: numpy's exp
-    can differ from it in the last place, and by CPU."""
+    or over a float array in one pass that still calls math.exp at each
+    point, so every value has the scalar bits: numpy's exp can differ
+    from it in the last place, and by CPU."""
     if isinstance(x, Real):
         return math.exp(-0.5 * x * x) / SQRT_2PI
     import numpy as np
-    return np.array([gaussian(t) for t in x.tolist()])
+    return np.array(list(map(math.exp, (-0.5 * x * x).tolist()))) / SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -144,16 +145,7 @@ def correction_from_cumulants(
         g = Fraction(cumulants.gamma(k + 2), factorial(k + 2))
         if g:
             steps.append((k, k * g))
-    if order % 2:
-        reachable = [True] + [False] * order
-        for n in range(1, order + 1):
-            reachable[n] = any(reachable[n - k] for k, _ in steps if k <= n)
-        if reachable[order]:
-            raise ValueError(
-                "term leaves an odd power of sigma: only cumulant inputs with "
-                "vanishing odd cumulants are supported"
-            )
-    # series[n] maps s to the coefficient of y^s in F_n(y)
+    # series[n] maps s to the coefficient of y^s in F_n(y), zero ones kept
     series: list[dict[int, Fraction]] = [{0: Fraction(1)}]
     for n in range(1, order + 1):
         f: dict[int, Fraction] = {}
@@ -163,6 +155,11 @@ def correction_from_cumulants(
             for s, c in series[n - k].items():
                 f[s + 1] = f.get(s + 1, 0) + kg * c
         series.append({s: c / n for s, c in f.items()})
+    if order % 2 and series[order]:  # order is a sum of k with g_k != 0
+        raise ValueError(
+            "term leaves an odd power of sigma: only cumulant inputs with "
+            "vanishing odd cumulants are supported"
+        )
     return GaussianPolynomial(poly=_hermite_sum({
         order + 2 * s: c / variance ** (order // 2 + s)
         for s, c in series[order].items()

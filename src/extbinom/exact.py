@@ -38,12 +38,6 @@ class BigRow:
     q: int
     coeffs: tuple[int, ...]
 
-    def coefficient(self, k: int) -> int:
-        """Coefficient for any integer k; zero outside 0..n*q."""
-        if 0 <= k <= self.n * self.q:
-            return self.coeffs[k]
-        return 0
-
 
 def _check_nq(n: int, q: int) -> None:
     if n < 1:
@@ -110,7 +104,8 @@ def coefficient(n: int, k: int, q: int) -> int:
 
     Reduces to the ordinary binomial coefficient C(n, k) at q = 1.
     """
-    return compute_row(n, q).coefficient(k)
+    coeffs = compute_row(n, q).coeffs
+    return coeffs[k] if 0 <= k < len(coeffs) else 0
 
 
 def composition_count(k: int, n: int, q: int) -> int:

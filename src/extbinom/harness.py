@@ -55,15 +55,16 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
 
 
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
-    """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|,
-    and the first k attaining it, with the approximation evaluated over
-    the whole row in one ``approximate_scaled`` call."""
+    """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|
+    and the first k attaining it, from one ``approximate_scaled`` call over
+    k = 0..n*q//2: the row and every correction are even about n*q/2."""
     import numpy as np
 
-    row = compute_row(n, q)
+    half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
     denom = (q + 1) ** n
-    exact = np.array([c / denom for c in row.coeffs]) * _scale(n, q)
-    err = np.abs(exact - approximate_scaled(n, np.arange(n * q + 1), q, order))
+    row = compute_row(n, q).coeffs
+    exact = np.array([c / denom for c in row[:half]]) * _scale(n, q)
+    err = np.abs(exact - approximate_scaled(n, np.arange(half), q, order))
     k = int(np.argmax(err))
     return float(err[k]), k
 
@@ -92,7 +93,7 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
 
 
 def _ols_loglog(ns: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
-    import numpy as np  # only the fit needs numpy; keeps the package import light
+    import numpy as np  # imported lazily so that coeff, row and expand never load it
 
     xs = np.log(np.asarray(ns, dtype=float))
     ys = np.log(np.asarray(errors, dtype=float))

@@ -108,15 +108,16 @@ def bernoulli(m: int) -> Fraction:
 
     Computed from the defining recurrence
     ``sum_{j=0..m} C(m+1, j) B_j = 0`` with ``B_0 = 1``, which forces
-    ``B_1 = -1/2`` and zero at every odd index above 1.
+    ``B_1 = -1/2`` and zero at every odd index above 1, so those return
+    at once and the sum skips them.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += comb(m + 1, j) * bernoulli(j)
+    if m % 2 and m > 1:
+        return Fraction(0)
+    acc = sum(comb(m + 1, j) * bernoulli(j) for j in range(m) if j < 2 or j % 2 == 0)
     return -acc / (m + 1)
 
 

@@ -139,6 +139,18 @@ class TestGeneralBuilder:
         with pytest.raises(ValueError, match="odd power of sigma"):
             correction_from_cumulants(order, SKEWED, Fraction(1, 4))
 
+    def test_odd_order_rejected_when_weights_cancel(self):
+        # only g_4, g_5, g_6 nonzero (g_k = gamma_(k+2) / (k+2)!): 15 is
+        # reachable only as 5+5+5 and 4+5+6, whose s = 3 weights
+        # g_5^3/6 + g_4 g_5 g_6 cancel at g_4 = g_5 = 1, g_6 = -1/6
+        gammas = [Fraction(0)] * 17
+        gammas[5:8] = Fraction(720), Fraction(5040), Fraction(-6720)  # gamma_6..8
+        cancelling = CumulantVector(gammas=tuple(gammas))
+        bases = [Fraction(cancelling.gamma(m + 2), math.factorial(m + 2)) for m in range(1, 16)]
+        assert partition_weights(15, bases) == {3: 0}
+        with pytest.raises(ValueError, match="odd power of sigma"):
+            correction_from_cumulants(15, cancelling, Fraction(1))
+
     def test_order_two_skewed(self):
         # gamma_4/(24 sigma^4) H_4 + gamma_3^2/(72 sigma^6) H_6 with
         # gamma_3 = 1/10, gamma_4 = -1/30, sigma^2 = 1/4
@@ -275,3 +287,5 @@ class TestApproximateScaled:
                 assert row.tolist() == [
                     approximate_scaled(n, k, q, order) for k in range(n * q + 1)
                 ]
+                # bit-symmetric about n*q/2, which uniform_error's half scan needs
+                assert row.tolist() == row.tolist()[::-1]
