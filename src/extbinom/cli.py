@@ -7,8 +7,8 @@ line endings, header row, comment lines prefixed '#'); --json switches
 to a JSON array of objects.  Rationals are rendered exactly as "p/q",
 floats with full round-trip precision.  Exit code 0 on success, 2 on a
 usage or domain error, which includes an --order or --nu above
-MAX_ORDER and a --max-order above MAX_CUMULANT_ORDER, refused before any
-work.
+MAX_ORDER and a --max-order above MAX_CUMULANT_ORDER: ``main`` checks
+these limits before any subcommand runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from extbinom.cumulants import cumulants_from_moments, cumulants_up_to
@@ -36,43 +35,25 @@ from extbinom.harness import exact_scaled_value, rate_sweep
 # 0.6 s at q = 8 (`expand 3 1 8 --order 40`), up to order 60 in 4.3 s.
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`
-# takes about 1.2 s on the same box, 600 takes 4.3 s, nearly flat in q.
+# takes about 0.4 s on the same box, 600 about 1.4 s, nearly flat in q.
 MAX_CUMULANT_ORDER = 400
-
-
-def _check_limit(option: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise ValueError(f"{option} {value} exceeds the limit of {limit}")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)  # int, Fraction ("p/q"), str
-
-
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+# the bounded options by argparse dest, checked in main before dispatch
+LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
 
 def _to_csv(rows: list[dict], comments: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
+    # csv writes floats by repr, the rest by str (Fraction as "p/q")
     for row in rows:
-        writer.writerow(_csv_cell(v) for v in row.values())
+        writer.writerow(
+            ("true" if v else "false") if isinstance(v, bool) else v
+            for v in row.values()
+        )
     for comment in comments:
         buf.write(f"# {comment}\n")
     return buf.getvalue()
-
-
-def _to_json(rows: list[dict]) -> str:
-    payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -85,11 +66,11 @@ def _write(text: str, out: str | None) -> None:
 def _emit(args, rows: list[dict], comments: list[str] | None = None,
           footer: dict | None = None) -> None:
     """Emit rows as CSV (comments as '#' lines) or JSON (footer appended
-    as a trailing object in the array)."""
+    as a trailing object in the array, Fractions as "p/q" strings)."""
     if args.json:
         if footer:
             rows = rows + [footer]
-        _write(_to_json(rows), args.out)
+        _write(json.dumps(rows, indent=2, default=str) + "\n", args.out)
     else:
         _write(_to_csv(rows, comments or []), args.out)
 
@@ -109,7 +90,6 @@ def cmd_row(args) -> None:
 
 
 def cmd_expand(args) -> None:
-    _check_limit("--order", args.order, MAX_ORDER)
     n, k, q, order = args.n, args.k, args.q, args.order
     exact = exact_scaled_value(n, k, q)
     approx = approximate_scaled(n, k, q, order)
@@ -152,7 +132,6 @@ def _sweep_table(report) -> tuple[list[dict], list[str]]:
 
 
 def cmd_sweep(args) -> None:
-    _check_limit("--order", args.order, MAX_ORDER)
     report = rate_sweep(args.q, args.order, args.n_list)
     rows, comments = _sweep_table(report)
     footer = {
@@ -163,28 +142,17 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_cumulants(args) -> None:
-    _check_limit("--max-order", args.max_order, MAX_CUMULANT_ORDER)
-    vec = cumulants_up_to(args.max_order, args.q)
+    gammas = cumulants_up_to(args.max_order, args.q).gammas
+    rows = [{"k": k, "gamma": gamma} for k, gamma in enumerate(gammas, 1)]
     if args.oracle:
-        oracle = cumulants_from_moments(args.max_order, args.q)
-        rows = [
-            {
-                "k": k,
-                "gamma": vec.gamma(k),
-                "oracle_gamma": oracle.gamma(k),
-                "match": vec.gamma(k) == oracle.gamma(k),
-            }
-            for k in range(1, args.max_order + 1)
-        ]
-    else:
-        rows = [
-            {"k": k, "gamma": vec.gamma(k)} for k in range(1, args.max_order + 1)
-        ]
+        oracle = cumulants_from_moments(args.max_order, args.q).gammas
+        for row, gamma in zip(rows, oracle):
+            row["oracle_gamma"] = gamma
+            row["match"] = row["gamma"] == gamma
     _emit(args, rows)
 
 
 def cmd_qpoly(args) -> None:
-    _check_limit("--nu", args.nu, MAX_ORDER)
     poly = uniform_correction(args.nu, args.q).poly
     rows = [
         {"power": i, "coefficient": c}
@@ -293,6 +261,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
+            for dest, limit in LIMITS.items():
+                value = getattr(args, dest, 0)
+                if value > limit:
+                    option = "--" + dest.replace("_", "-")
+                    raise ValueError(f"{option} {value} exceeds the limit of {limit}")
             args.func(args)
         except (ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

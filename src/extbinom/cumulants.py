@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from operator import add, mul
 
 from extbinom.special import bernoulli
 
@@ -71,23 +71,30 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     by Pascal's identity sum_{i=0..j} C(j+1, i) S_i = Q^(j+1), so the
     cost does not grow with q and no Bernoulli number enters; the usual
     recursion gamma_k = m_k - sum_{j=1..k-1} C(k-1, j-1) gamma_j m_{k-j}
-    converts them.  It runs in integers on Gamma_k = gamma_k * Q**k:
+    converts them.  It runs in integers on M_j = m_j Q^j = S_j Q^(j-1)
+    and Gamma_k = gamma_k Q^k:
 
-        Gamma_k = S_k Q^(k-1) - sum_{j=1..k-1} C(k-1, j-1) Gamma_j S_{k-j} Q^(k-j-1)
+        Gamma_k = M_k - sum_{j=1..k-1} C(k-1, j-1) Gamma_j M_{k-j}
 
-    and each cumulant is returned as Fraction(Gamma_k, Q**k).
+    and each cumulant is returned as Fraction(Gamma_k, Q**k).  The
+    binomials come from Pascal rows carried from one k to the next.
     """
     _check_kq(order, q)
     big_q = q + 1
+    powers = [1, big_q]  # powers[j] = Q**j
     sums = [big_q]  # sums[j] = S_j, each added by Pascal's identity
+    moments = [1]  # moments[j] = M_j
     scaled: list[int] = []  # scaled[k - 1] = Gamma_k
+    # Pascal rows C(k-1, .), C(k, .) and C(k+1, .)
+    below, middle, above = [1], [1, 1], [1, 2, 1]
     for k in range(1, order + 1):
-        lower = sum(comb(k + 1, i) * s for i, s in enumerate(sums))
-        sums.append((big_q ** (k + 1) - lower) // (k + 1))
-        g = sums[k] * big_q ** (k - 1)
-        for j in range(1, k):
-            g -= comb(k - 1, j - 1) * scaled[j - 1] * sums[k - j] * big_q ** (k - j - 1)
-        scaled.append(g)
+        powers.append(powers[k] * big_q)
+        # zip stops at the shorter list: i = 0..k-1 here, j = 1..k-1 below
+        sums.append((powers[k + 1] - sum(map(mul, above, sums))) // (k + 1))
+        tail = sum(map(mul, map(mul, below, scaled), reversed(moments)))
+        moments.append(sums[k] * powers[k - 1])
+        scaled.append(moments[k] - tail)
+        below, middle, above = middle, above, [1, *map(add, above, above[1:]), 1]
     return CumulantVector(
-        gammas=tuple(Fraction(g, big_q**k) for k, g in enumerate(scaled, 1))
+        gammas=tuple(Fraction(g, powers[k]) for k, g in enumerate(scaled, 1))
     )

@@ -9,9 +9,14 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extbinom import cli, coefficient
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
@@ -46,6 +51,18 @@ def no_int_digit_limit():
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(old)
+
+
+def run_captured(argv):
+    """main's exit code, stdout and stderr, without pytest's function-scoped
+    capture fixtures, so that hypothesis can call it repeatedly."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def parse_csv(text):
@@ -339,3 +356,171 @@ def test_main_restores_int_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def argv(*parts):
+    return [str(part) for part in parts]
+
+
+# JSON type of each column, by command; a Fraction column is a "p/q" string
+COLUMNS = {
+    "coeff": {"n": int, "k": int, "q": int, "coefficient": int},
+    "row": {"k": int, "coefficient": int},
+    "expand": {
+        "n": int, "k": int, "q": int, "order": int,
+        "x": float, "exact": float, "approximation": float, "abs_error": float,
+    },
+    "expand --terms": {"term": str, "value": float},
+    "sweep": {"n": int, "sup_error": float, "argmax_k": int},
+    "cumulants": {"k": int, "gamma": Fraction},
+    "cumulants --oracle": {
+        "k": int, "gamma": Fraction, "oracle_gamma": Fraction, "match": bool,
+    },
+    "qpoly": {"power": int, "coefficient": Fraction},
+}
+
+
+@st.composite
+def valid_commands(draw):
+    """A small valid command line and the COLUMNS key of its table."""
+    kind = draw(st.sampled_from(sorted(COLUMNS)))
+    n, q = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, n * q))
+    if kind == "coeff":
+        return kind, argv("coeff", n, k, q)
+    if kind == "row":
+        return kind, argv("row", n, q)
+    if kind.startswith("expand"):
+        order = draw(st.integers(0, 3))
+        return kind, argv("expand", n, k, q, "--order", order, *kind.split()[1:])
+    if kind == "sweep":
+        ns = sorted(draw(st.sets(st.integers(1, 60), min_size=3, max_size=3)))
+        return kind, argv(
+            "sweep", q, "--order", draw(st.integers(0, 3)),
+            "--n-list", ",".join(map(str, ns)),
+        )
+    if kind.startswith("cumulants"):
+        max_order = draw(st.integers(1, 12))
+        return kind, argv("cumulants", q, "--max-order", max_order, *kind.split()[1:])
+    return kind, argv("qpoly", q, "--nu", draw(st.integers(1, 4)))
+
+
+def assert_cell_agrees(kind, value, cell):
+    if kind is Fraction:
+        assert type(value) is str
+        assert value == cell == str(Fraction(cell))
+    elif kind is bool:
+        assert type(value) is bool
+        assert cell == ("true" if value else "false")
+    elif kind is float:
+        assert type(value) is float
+        assert repr(value) == cell
+    else:
+        assert type(value) is kind
+        assert str(value) == cell
+
+
+@given(valid_commands())
+@settings(max_examples=150, deadline=None)
+def test_csv_and_json_agree(command):
+    kind, args = command
+    code, csv_out, _ = run_captured(args)
+    json_code, json_out, _ = run_captured(args + ["--json"])
+    assert (code, json_code) == (0, 0)
+    payload = json.loads(json_out)
+    footer_comments = []
+    if kind == "sweep":
+        footer = payload.pop()
+        assert list(footer) == ["fitted_slope", "slope_stderr"]
+        assert [type(v) for v in footer.values()] == [float, float]
+        footer_comments = [
+            f"# fitted_slope={footer['fitted_slope']!r},"
+            f"stderr={footer['slope_stderr']!r}"
+        ]
+    if kind == "coeff":
+        # coeff's CSV is its bare value; its one JSON row checks only types
+        assert csv_out == f"{payload[0]['coefficient']}\n"
+        rows, comments = [{k: str(v) for k, v in payload[0].items()}], []
+    else:
+        rows, comments = parse_csv(csv_out)
+    assert comments == footer_comments
+    assert len(rows) == len(payload) > 0
+    columns = COLUMNS[kind]
+    for row, obj in zip(rows, payload):
+        assert list(row) == list(obj) == list(columns)
+        for key, value in obj.items():
+            assert_cell_agrees(columns[key], value, row[key])
+
+
+# a path below a regular file, which no command can create
+UNWRITABLE = str(Path(__file__) / "out.csv")
+
+
+NONPOSITIVE = st.integers(-50, 0)
+NEGATIVE = st.integers(-50, -1)
+NOT_AN_INT = st.sampled_from(["1.5", "x", "2e3", "0x10", "one"])
+# a path below a regular file, which no command can create
+UNWRITABLE = st.just(str(Path(__file__) / "out.csv"))
+ORDER_OVER = st.integers(MAX_ORDER + 1, MAX_ORDER + 1000)
+CUMULANT_ORDER_OVER = st.integers(MAX_CUMULANT_ORDER + 1, MAX_CUMULANT_ORDER + 1000)
+
+# every class of invalid input: a command with one slot, the values that
+# fill it, and whether the order guard must refuse it before any work
+INVALID = {
+    "coeff-n": ("coeff {} 1 2", NONPOSITIVE, False),
+    "coeff-q": ("coeff 3 1 {}", NONPOSITIVE, False),
+    "row-n": ("row {} 2", NONPOSITIVE, False),
+    "row-q": ("row 3 {}", NONPOSITIVE, False),
+    "expand-n": ("expand {} 1 2", NONPOSITIVE, False),
+    "expand-q": ("expand 3 1 {}", NONPOSITIVE, False),
+    "sweep-q": ("sweep {} --n-list 3,4,5", NONPOSITIVE, False),
+    "cumulants-q": ("cumulants {}", NONPOSITIVE, False),
+    "qpoly-q": ("qpoly {} --nu 1", NONPOSITIVE, False),
+    "expand-order-low": ("expand 3 1 2 --order {}", NEGATIVE, False),
+    "sweep-order-low": ("sweep 2 --n-list 3,4,5 --order {}", NEGATIVE, False),
+    "qpoly-nu-low": ("qpoly 3 --nu {}", NONPOSITIVE, False),
+    "cumulants-max-order-low": ("cumulants 4 --max-order {}", NONPOSITIVE, False),
+    "expand-order-high": ("expand 3 1 2 --order {}", ORDER_OVER, True),
+    "sweep-order-high": ("sweep 2 --n-list 3,4,5 --order {}", ORDER_OVER, True),
+    "qpoly-nu-high": ("qpoly 3 --nu {}", ORDER_OVER, True),
+    "cumulants-max-order-high": (
+        "cumulants 4 --max-order {}", CUMULANT_ORDER_OVER, True
+    ),
+    "n-list-short": ("sweep 2 --n-list={}", st.sampled_from(["", "3", "3,4"]), False),
+    "n-list-not-increasing": (
+        "sweep 2 --n-list={}", st.sampled_from(["4,3,5", "3,3,5", "5,4,3"]), False
+    ),
+    "n-list-nonpositive": ("sweep 2 --n-list={},4,5", NONPOSITIVE, False),
+    "n-list-not-an-int": ("sweep 2 --n-list=3,{},5", NOT_AN_INT, False),
+    "coeff-not-an-int": ("coeff {} 1 2", NOT_AN_INT, False),
+    "row-not-an-int": ("row 3 {}", NOT_AN_INT, False),
+    "expand-not-an-int": ("expand 3 {} 2", NOT_AN_INT, False),
+    "sweep-not-an-int": ("sweep {}", NOT_AN_INT, False),
+    "cumulants-not-an-int": ("cumulants {}", NOT_AN_INT, False),
+    "qpoly-not-an-int": ("qpoly {} --nu 1", NOT_AN_INT, False),
+    "coeff-out": ("coeff 3 1 2 --out {}", UNWRITABLE, False),
+    "row-out": ("row 3 2 --out {}", UNWRITABLE, False),
+    "expand-out": ("expand 3 1 2 --out {}", UNWRITABLE, False),
+    "sweep-out": ("sweep 2 --n-list 3,4,5 --out {}", UNWRITABLE, False),
+    "cumulants-out": ("cumulants 2 --out {}", UNWRITABLE, False),
+    "qpoly-out": ("qpoly 2 --nu 1 --out {}", UNWRITABLE, False),
+}
+
+
+@pytest.mark.parametrize("template,values,guarded", INVALID.values(), ids=INVALID)
+@given(data=st.data(), as_json=st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_invalid_input_exits_2(template, values, guarded, data, as_json):
+    value = data.draw(values)
+    args = [part.format(value) for part in template.split()]
+    if as_json:
+        args.append("--json")
+    with ExitStack() as stack:
+        if guarded:  # a limit the guard misses fails here instead of running
+            for name in ("exact_scaled_value", "approximate_scaled", "rate_sweep",
+                         "cumulants_up_to", "uniform_correction"):
+                stack.enter_context(mock.patch.object(cli, name, side_effect=WorkStarted))
+        code, out, err = run_captured(args)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1]

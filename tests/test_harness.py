@@ -4,7 +4,9 @@ ratio, and the first-order cross check."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extbinom import (
@@ -14,6 +16,7 @@ from extbinom import (
     exact_scaled_value,
     first_order_cross_check,
     rate_sweep,
+    uniform_correction,
     uniform_error,
 )
 
@@ -102,6 +105,25 @@ class TestCentralRatio:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             central_ratio(0, 2)
+
+    def test_expansion_values_at_the_centre(self):
+        assert uniform_correction(1, 2).poly.coeffs[0] == Fraction(-3, 16)
+        assert uniform_correction(2, 2).poly.coeffs[0] == Fraction(1, 512)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_expansion_at_the_centre(self, q, order):
+        # x = 0 at k = nq/2, so the ratio is 1 + sum_v P_v(0) n^-v: after
+        # `order` exact terms the residual decays like n^-(order+1)
+        p0 = [uniform_correction(v, q).poly.coeffs[0] for v in range(1, order + 1)]
+        ns = [100, 200, 400, 800]
+        residuals = [
+            abs(float(Fraction(central_ratio(n, q)) - 1
+                      - sum(c / n**v for v, c in enumerate(p0, 1))))
+            for n in ns
+        ]
+        slope = np.polyfit(np.log(ns), np.log(residuals), 1)[0]
+        assert slope == pytest.approx(-(order + 1), abs=0.3)
 
 
 class TestFirstOrderCrossCheck:
