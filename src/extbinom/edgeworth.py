@@ -223,7 +223,14 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     x = standardize(n, k, q)
+    return gaussian(x) * (1.0 + _correction_sum(n, x, q, order))
+
+
+def _correction_sum(n: int, x, q: int, order: int):
+    """sum_{v=1}^{order} P_v(x) / n**v at a standardized point x, or
+    elementwise over a float array: the factor that multiplies the
+    Gaussian density, less its leading 1.  0.0 when order is 0."""
     corr = 0.0
     for v in range(1, order + 1):
         corr += uniform_correction(v, q).poly(x) / n**v
-    return gaussian(x) * (1.0 + corr)
+    return corr

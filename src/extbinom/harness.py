@@ -9,6 +9,13 @@ and the approximation's tail there is far below the errors inside: at
 (n, q) = (50, 1) it is 7.2e-13 at k = -1 (3.1e-12 at order 2), against a
 sup error of 2.0e-3 (4.5e-7 at order 2).
 
+The order-independent part of a row's evaluation, over k = 0..n*q//2,
+is memoized in an LRU cache keyed by (n, q) with 64 entries: the exact
+scaled values, the standardized points x and the Gaussian density at x,
+three read-only float arrays, 24 bytes per point, smaller than the
+integer row they come from.  A sweep over several orders converts each
+row to floats once and repeats only the correction polynomials.
+
 All operations are pure; calls for distinct n are independent and safe
 to run concurrently.
 """
@@ -17,9 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from extbinom.edgeworth import approximate_scaled, gaussian, standardize
+from extbinom.edgeworth import (
+    _correction_sum,
+    approximate_scaled,
+    gaussian,
+    standardize,
+)
 from extbinom.exact import coefficient, compute_row
 
 
@@ -54,18 +67,36 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     return (coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
-def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
-    """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|
-    and the first k attaining it, from one ``approximate_scaled`` call over
-    k = 0..n*q//2: the row and every correction are even about n*q/2."""
+@lru_cache(maxsize=64)
+def _half_row(n: int, q: int):
+    """The order-independent arrays over k = 0..n*q//2, read-only since
+    every caller shares them: the exact scaled values, x = standardize(n,
+    k, q) and gaussian(x)."""
     import numpy as np
 
     half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
     denom = (q + 1) ** n
     row = compute_row(n, q).coeffs
     exact = np.array([c / denom for c in row[:half]]) * _scale(n, q)
-    err = np.abs(exact - approximate_scaled(n, np.arange(half), q, order))
-    k = int(np.argmax(err))
+    x = standardize(n, np.arange(half), q)
+    arrays = exact, x, gaussian(x)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
+    """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|
+    and the first k attaining it, evaluated over k = 0..n*q//2 only: the
+    row and every correction are even about n*q/2.  The exact values, x
+    and the Gaussian density come from a cache keyed by (n, q), so only
+    the correction polynomials are evaluated per order; every value has
+    the bits of ``approximate_scaled`` at each k."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    exact, x, base = _half_row(n, q)
+    err = abs(exact - base * (1.0 + _correction_sum(n, x, q, order)))
+    k = int(err.argmax())
     return float(err[k]), k
 
 

@@ -19,6 +19,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
+from extbinom.harness import _half_row
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -56,6 +57,7 @@ class TestUniformError:
         for n in (1, 7, 50, 400):
             scale = math.sqrt(q * (q + 2) * n / 12)
             coeffs = compute_row(n, q).coeffs
+            expected = []
             for order in range(4):
                 sup, argmax = -1.0, -1
                 for k, c in enumerate(coeffs):
@@ -63,9 +65,30 @@ class TestUniformError:
                     err = abs(exact - approximate_scaled(n, k, q, order))
                     if err > sup:
                         sup, argmax = err, k
-                result = uniform_error(n, q, order)
-                assert result == (sup, argmax)
-                assert type(result[0]) is float and type(result[1]) is int
+                expected.append((sup, argmax))
+            # from a cold cache filled by order 0, then by order 3
+            for orders in (range(4), range(3, -1, -1)):
+                _half_row.cache_clear()
+                for order in orders:
+                    result = uniform_error(n, q, order)
+                    assert result == expected[order]
+                    assert type(result[0]) is float and type(result[1]) is int
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            uniform_error(50, 2, -1)
+
+    def test_cached_arrays_are_read_only(self):
+        for a in _half_row(50, 2):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_sweep_converts_each_row_once(self):
+        _half_row.cache_clear()
+        for order in range(4):
+            rate_sweep(2, order, [50, 100, 200, 400])
+        info = _half_row.cache_info()
+        assert (info.misses, info.hits) == (4, 12)
 
 
 class TestRateSweep:
