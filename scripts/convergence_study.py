@@ -4,8 +4,8 @@
 Measures the uniform (sup over k) error of the Gaussian-plus-corrections
 approximation against the exact rows for a grid of (q, order) pairs,
 fits the empirical decay slope, and prints one summary table.  With
---out-dir, also writes one CSV per pair in the same format as
-`extbinom sweep`.
+--out-dir, also writes one CSV per pair by running `extbinom sweep`
+with --out.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from extbinom import rate_sweep
-from extbinom.cli import _sweep_table, _to_csv
+from extbinom import cli, rate_sweep
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
@@ -35,7 +34,10 @@ def run(qs: tuple[int, ...], orders: tuple[int, ...], n_list: tuple[int, ...],
             if out_dir is not None:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 path = out_dir / f"sweep_q{q}_order{order}.csv"
-                path.write_text(_to_csv(*_sweep_table(report)))
+                argv = ["sweep", str(q), "--order", str(order),
+                        "--n-list", ",".join(map(str, n_list)), "--out", str(path)]
+                if cli.main(argv):
+                    raise SystemExit(2)
 
 
 def main() -> None:

@@ -5,10 +5,14 @@ Subcommands expose the exact core (coeff, row), the approximation
 batch commands.  Tabular output is CSV by default (comma separated, LF
 line endings, header row, comment lines prefixed '#'); --json switches
 to a JSON array of objects.  Rationals are rendered exactly as "p/q",
-floats with full round-trip precision.  Exit code 0 on success, 2 on a
-usage or domain error, which includes an --order or --nu above
-MAX_ORDER and a --max-order above MAX_CUMULANT_ORDER: ``main`` checks
-these limits before any subcommand runs.
+floats with full round-trip precision.  Each ``cmd_*`` returns its text,
+which one renderer, ``_render``, builds in either format (``coeff``
+alone prints its bare value as CSV); ``main`` is the only writer, to
+stdout or to --out.  Exit code 0 on success, 2 on a usage or domain
+error, which includes a float that is not finite (nan, inf) in any
+cell, an --order or --nu above MAX_ORDER and a --max-order above
+MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
+runs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +46,17 @@ MAX_CUMULANT_ORDER = 400
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
 
-def _to_csv(rows: list[dict], comments: list[str]) -> str:
+def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> str:
+    """Rows as CSV (comments as '#' lines) or as JSON (footer appended as
+    a trailing object, Fractions as "p/q" strings).  A float cell or
+    footer value that is not finite is refused with a ValueError."""
+    for row in [*rows, footer or {}]:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} is not a finite number: {value!r}")
+    if args.json:
+        rows = rows + [footer] if footer else rows
+        return json.dumps(rows, indent=2, default=str) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
@@ -56,40 +71,18 @@ def _to_csv(rows: list[dict], comments: list[str]) -> str:
     return buf.getvalue()
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(args, rows: list[dict], comments: list[str] | None = None,
-          footer: dict | None = None) -> None:
-    """Emit rows as CSV (comments as '#' lines) or JSON (footer appended
-    as a trailing object in the array, Fractions as "p/q" strings)."""
-    if args.json:
-        if footer:
-            rows = rows + [footer]
-        _write(json.dumps(rows, indent=2, default=str) + "\n", args.out)
-    else:
-        _write(_to_csv(rows, comments or []), args.out)
-
-
-def cmd_coeff(args) -> None:
+def cmd_coeff(args) -> str:
     value = coefficient(args.n, args.k, args.q)
-    if args.json:
-        _emit(args, [{"n": args.n, "k": args.k, "q": args.q, "coefficient": value}])
-    else:
-        _write(f"{value}\n", args.out)
+    row = {"n": args.n, "k": args.k, "q": args.q, "coefficient": value}
+    return _render(args, [row]) if args.json else f"{value}\n"
 
 
-def cmd_row(args) -> None:
-    row = compute_row(args.n, args.q)
-    rows = [{"k": k, "coefficient": c} for k, c in enumerate(row.coeffs)]
-    _emit(args, rows)
+def cmd_row(args) -> str:
+    coeffs = compute_row(args.n, args.q).coeffs
+    return _render(args, [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)])
 
 
-def cmd_expand(args) -> None:
+def cmd_expand(args) -> str:
     n, k, q, order = args.n, args.k, args.q, args.order
     exact = exact_scaled_value(n, k, q)
     approx = approximate_scaled(n, k, q, order)
@@ -116,32 +109,23 @@ def cmd_expand(args) -> None:
                 "abs_error": abs(exact - approx),
             }
         ]
-    _emit(args, rows)
+    return _render(args, rows)
 
 
-def _sweep_table(report) -> tuple[list[dict], list[str]]:
-    """A sweep report's CSV rows and its slope footer comment."""
+def cmd_sweep(args) -> str:
+    report = rate_sweep(args.q, args.order, args.n_list)
     rows = [
         {"n": r.n, "sup_error": r.sup_error, "argmax_k": r.argmax_k}
         for r in report.records
     ]
-    comments = [
-        f"fitted_slope={report.fitted_slope!r},stderr={report.slope_stderr!r}"
-    ]
-    return rows, comments
+    slope, stderr = report.fitted_slope, report.slope_stderr
+    return _render(
+        args, rows, [f"fitted_slope={slope!r},stderr={stderr!r}"],
+        {"fitted_slope": slope, "slope_stderr": stderr},
+    )
 
 
-def cmd_sweep(args) -> None:
-    report = rate_sweep(args.q, args.order, args.n_list)
-    rows, comments = _sweep_table(report)
-    footer = {
-        "fitted_slope": report.fitted_slope,
-        "slope_stderr": report.slope_stderr,
-    }
-    _emit(args, rows, comments=comments, footer=footer)
-
-
-def cmd_cumulants(args) -> None:
+def cmd_cumulants(args) -> str:
     gammas = cumulants_up_to(args.max_order, args.q).gammas
     rows = [{"k": k, "gamma": gamma} for k, gamma in enumerate(gammas, 1)]
     if args.oracle:
@@ -149,17 +133,17 @@ def cmd_cumulants(args) -> None:
         for row, gamma in zip(rows, oracle):
             row["oracle_gamma"] = gamma
             row["match"] = row["gamma"] == gamma
-    _emit(args, rows)
+    return _render(args, rows)
 
 
-def cmd_qpoly(args) -> None:
+def cmd_qpoly(args) -> str:
     poly = uniform_correction(args.nu, args.q).poly
     rows = [
         {"power": i, "coefficient": c}
         for i, c in enumerate(poly.coeffs)
         if c != 0
     ]
-    _emit(args, rows)
+    return _render(args, rows)
 
 
 def _n_list(text: str) -> list[int]:
@@ -266,7 +250,11 @@ def main(argv: list[str] | None = None) -> int:
                 if value > limit:
                     option = "--" + dest.replace("_", "-")
                     raise ValueError(f"{option} {value} exceeds the limit of {limit}")
-            args.func(args)
+            text = args.func(args)
+            if args.out:
+                Path(args.out).write_text(text)
+            else:
+                sys.stdout.write(text)
         except (ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -219,6 +219,10 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
 
     order = 0 is the plain normal approximation.  The sup-over-k error
     decays empirically like n**-(order+1).
+
+    Far in the tails the result can be nan: the Gaussian density
+    underflows to 0.0 while a correction polynomial overflows to +-inf
+    (e.g. n=1, k=1000, q=2, order=40), and 0 * inf is nan.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

@@ -33,7 +33,7 @@ from extbinom.edgeworth import (
     gaussian,
     standardize,
 )
-from extbinom.exact import coefficient, compute_row
+from extbinom.exact import _check_nq, coefficient, compute_row
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ def central_ratio(n: int, q: int) -> float:
     Defined only when n*q is even, so that the central index n*q/2 is an
     integer.
     """
-    if n < 1 or q < 1:
-        raise ValueError(f"n and q must be positive integers, got n={n}, q={q}")
+    _check_nq(n, q)
     if (n * q) % 2:
         raise ValueError(f"central index requires n*q even, got n={n}, q={q}")
     c = coefficient(n, n * q // 2, q)

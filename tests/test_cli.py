@@ -296,6 +296,55 @@ class TestOrderLimits:
         assert err == f"error: {option} {limit + 1} exceeds the limit of {limit}\n"
 
 
+class TestNonFinite:
+    """A nan or inf float is refused wherever it would be written: far in
+    the tails the Gaussian density underflows to 0.0 while a correction
+    overflows to inf, and 0 * inf is nan."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (["expand", "1", "1000", "2", "--order", "40"], "approximation"),
+            (["expand", "1", "1000", "2", "--order", "40", "--terms"], "value"),
+            (["expand", "1", str(10**80), "2", "--order", "1"], "approximation"),
+            (["expand", "1", str(10**80), "2", "--order", "1", "--terms"], "value"),
+        ],
+        ids=["order-40", "order-40-terms", "huge-k", "huge-k-terms"],
+    )
+    def test_exit_2(self, capsys, argv, column, as_json):
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {column} is not a finite number")
+
+
+class TestOut:
+    """--out PATH writes exactly the bytes stdout gets without it."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "coeff 4 4 2",
+            "row 3 2",
+            "expand 100 90 2 --order 2",
+            "expand 50 30 1 --order 1 --terms",
+            "sweep 2 --order 1 --n-list 20,40,80",
+            "cumulants 2 --max-order 4 --oracle",
+            "qpoly 2 --nu 1",
+        ],
+        ids=["coeff", "row", "expand", "expand-terms", "sweep", "cumulants-oracle",
+             "qpoly"],
+    )
+    def test_same_bytes_as_stdout(self, capsys, tmp_path, command, as_json):
+        argv = command.split() + (["--json"] if as_json else [])
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
+
 class TestFormatContracts:
     def test_float_round_trip(self, capsys):
         _, out, _ = run(capsys, "expand", "37", "20", "3", "--order", "2")
@@ -450,10 +499,6 @@ def test_csv_and_json_agree(command):
         assert list(row) == list(obj) == list(columns)
         for key, value in obj.items():
             assert_cell_agrees(columns[key], value, row[key])
-
-
-# a path below a regular file, which no command can create
-UNWRITABLE = str(Path(__file__) / "out.csv")
 
 
 NONPOSITIVE = st.integers(-50, 0)
