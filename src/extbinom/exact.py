@@ -15,14 +15,17 @@ the first half and mirrors it, since rows are symmetric.  ``iter_rows``
 keeps the running window sum (multiply by the base polynomial), an
 independent route that costs O(n * q) additions per row.  All functions
 are pure; ``compute_row`` memoizes through ``functools.lru_cache``,
-which is thread-safe and returns immutable rows.
+which is thread-safe and returns immutable rows.  Each row carries its
+sum ``total`` = (q+1)**n, computed on first use; ``scaled_probability``
+divides by it in lowest terms without a gcd over the full pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterator
 
 
@@ -37,6 +40,11 @@ class BigRow:
     n: int
     q: int
     coeffs: tuple[int, ...]
+
+    @cached_property
+    def total(self) -> int:
+        """(q+1)**n, the sum of the row; computed once per row object."""
+        return (self.q + 1) ** self.n
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -120,7 +128,37 @@ def composition_count(k: int, n: int, q: int) -> int:
     return coefficient(n, k - n, q - 1)
 
 
+def _lowest_terms_fraction(numerator: int, denominator: int) -> Fraction:
+    # Fraction(numerator, denominator) would run a full gcd to normalise a
+    # pair the caller has already reduced (coprime, denominator > 0), so
+    # fill the two slots directly; CPython 3.10 to 3.13 name them alike.
+    f = Fraction.__new__(Fraction)
+    f._numerator = numerator
+    f._denominator = denominator
+    return f
+
+
 def scaled_probability(n: int, k: int, q: int) -> Fraction:
     """P(S_n = k) for S_n a sum of n independent uniforms on {0, ..., q},
-    as an exact rational."""
-    return Fraction(coefficient(n, k, q), (q + 1) ** n)
+    as an exact rational in lowest terms.
+
+    On a cached row this costs a few divisions of row-sized integers:
+    the common factor is found against a small power of q+1, not by a
+    gcd with (q+1)**n.
+    """
+    c = coefficient(n, k, q)
+    total = compute_row(n, q).total
+    if c == 0:
+        return Fraction(0)
+    # Every common factor of c and (q+1)**n is a prime of q+1, so
+    # g = gcd(c, (q+1)**m) is the full gcd once c // g shares no prime
+    # with q+1; until then double m, up to m = n.
+    m = 8
+    while m < n:
+        g = gcd(c, (q + 1) ** m)
+        if gcd(c // g, q + 1) == 1:
+            break
+        m *= 2
+    else:
+        g = gcd(c, total)
+    return _lowest_terms_fraction(c // g, total // g)

@@ -64,7 +64,7 @@ def _scale(n: int, q: int) -> float:
 def exact_scaled_value(n: int, k: int, q: int) -> float:
     """sqrt(q*(q+2)*n/12) times the exact point probability, the quantity
     the expansion approximates.  Exact integer ratio, one float conversion."""
-    return (coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
+    return (coefficient(n, k, q) / compute_row(n, q).total) * _scale(n, q)
 
 
 @lru_cache(maxsize=64)
@@ -75,9 +75,9 @@ def _half_row(n: int, q: int):
     import numpy as np
 
     half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
-    denom = (q + 1) ** n
-    row = compute_row(n, q).coeffs
-    exact = np.array([c / denom for c in row[:half]]) * _scale(n, q)
+    row = compute_row(n, q)
+    denom = row.total
+    exact = np.array([c / denom for c in row.coeffs[:half]]) * _scale(n, q)
     x = standardize(n, np.arange(half), q)
     arrays = exact, x, gaussian(x)
     for a in arrays:
@@ -147,7 +147,7 @@ def central_ratio(n: int, q: int) -> float:
         raise ValueError(f"central index requires n*q even, got n={n}, q={q}")
     c = coefficient(n, n * q // 2, q)
     # exact integer ratio, then one float conversion
-    return (c / (q + 1) ** n) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
+    return (c / compute_row(n, q).total) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
 
 
 def first_order_cross_check(n: int, k: int, q: int) -> tuple[float, float]:

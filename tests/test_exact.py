@@ -69,6 +69,7 @@ class TestComputeRow:
     def test_iter_rows_matches_compute_row(self):
         for row in iter_rows(3, 15):
             assert row.coeffs == compute_row(row.n, 3).coeffs
+            assert row.total == sum(row.coeffs)
 
     @pytest.mark.parametrize("n,q", [(0, 2), (3, 0), (0, 0), (-1, 2)])
     def test_domain_errors(self, n, q):
@@ -110,7 +111,7 @@ class TestRowInvariants:
     def test_sum_symmetry_endpoints(self, n, q):
         row = compute_row(n, q)
         assert len(row.coeffs) == n * q + 1
-        assert sum(row.coeffs) == (q + 1) ** n
+        assert sum(row.coeffs) == row.total == (q + 1) ** n
         assert row.coeffs[0] == row.coeffs[-1] == 1
         for k in range(len(row.coeffs)):
             assert row.coeffs[k] == row.coeffs[n * q - k]
@@ -188,6 +189,30 @@ class TestScaledProbability:
     def test_sums_to_one(self, n, q):
         total = sum(scaled_probability(n, k, q) for k in range(n * q + 1))
         assert total == 1
+
+    @staticmethod
+    def assert_same_fraction(n, k, q):
+        got = scaled_probability(n, k, q)
+        want = Fraction(coefficient(n, k, q), (q + 1) ** n)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want) and str(got) == str(want)
+
+    @given(n=st.integers(1, 300), q=st.integers(1, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_terms(self, n, q, data):
+        k = data.draw(st.integers(-2, n * q + 2))
+        self.assert_same_fraction(n, k, q)
+
+    # the first three exceed the first probe (q+1)**8 and need a second:
+    # at k = 1 the coefficient is n, with 2-adic valuation 10 in 2**10 and 9
+    # in 2**9 * 3 (q+1 = 6), and the (96, 94, 2) coefficient has 3-adic
+    # valuation 13; in 3**7 and 6**4 the first probe covers it
+    @pytest.mark.parametrize(
+        "n,k,q",
+        [(2**10, 1, 1), (2**9 * 3, 1, 5), (96, 94, 2), (3**7, 1, 2), (6**4, 1, 5)],
+    )
+    def test_lowest_terms_at_high_valuation(self, n, k, q):
+        self.assert_same_fraction(n, k, q)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import pytest
 from extbinom import (
     approximate_scaled,
     central_ratio,
+    coefficient,
     compute_row,
     exact_scaled_value,
     first_order_cross_check,
@@ -32,6 +33,16 @@ class TestExactScaledValue:
 
     def test_outside_support(self):
         assert exact_scaled_value(10, -1, 2) == 0.0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 7, 50, 400])
+    def test_bits(self, n, q):
+        # the exact integer ratio first, then the float scale
+        for k in (-1, 0, 1, n * q // 3, n * q // 2, n * q, n * q + 1):
+            expected = (coefficient(n, k, q) / (q + 1) ** n) * math.sqrt(
+                q * (q + 2) * n / 12
+            )
+            assert exact_scaled_value(n, k, q) == expected
 
 
 class TestUniformError:
@@ -114,6 +125,14 @@ class TestCentralRatio:
         # 3 / (9 / sqrt(2*pi*2*(2*4)/12)), assembled independently
         expected = 3 * math.sqrt(2 * math.pi * 2 * 2 * 4 / 12) / 9
         assert central_ratio(2, 2) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 8, 50, 400])
+    def test_bits(self, n, q):
+        # the exact integer ratio first, then the float prefactor
+        c = coefficient(n, n * q // 2, q)
+        expected = (c / (q + 1) ** n) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
+        assert central_ratio(n, q) == expected
 
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
