@@ -54,7 +54,8 @@ def cumulant(k: int, q: int) -> Fraction:
     if k % 2 == 1:
         return Fraction(0)
     # k = 2l: gamma_k = B_k / k * ((q+1)^k - 1)
-    return bernoulli(k) / k * ((q + 1) ** k - 1)
+    b = bernoulli(k)
+    return Fraction(b.numerator * ((q + 1) ** k - 1), b.denominator * k)
 
 
 def cumulants_up_to(order: int, q: int) -> CumulantVector:

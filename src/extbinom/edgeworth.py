@@ -7,9 +7,10 @@ Hermite polynomial per part count s.  The weight w_s is a partial Bell
 polynomial in the cumulant bases, ``[t^v] G(t)^s / s!`` for the power
 series G(t) = sum_m base_m t^m (Comtet, Advanced Combinatorics, 1974,
 section 3.3), read off a power series instead of summed over the
-partitions of v.  The sum over s is formed in integers over the common
-denominator of the weights, since the Hermite coefficients are integers.
-Two builders are provided, each with its own series algorithm.
+partitions of v.  Each builder runs its own series algorithm in integers
+over the common denominator of the bases, and the sum over s is formed
+in integers over that of the weights (the Hermite coefficients are
+integers), so a Fraction is built only per weight and per coefficient.
 
 ``correction_from_cumulants``
     The general construction for any symmetric lattice distribution,
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from numbers import Real
 
 from extbinom.cumulants import CumulantVector
@@ -95,7 +96,8 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
 
     The Hermite coefficients are integers, so every weight is brought to
     the lcm D of the weights' denominators, each coefficient is summed as
-    an int, and one Fraction(sum, D) is built per coefficient.
+    an int, and one Fraction(sum, D) is built per nonzero coefficient;
+    the zero ones, half of them by parity, share one Fraction(0).
     """
     den = math.lcm(*(w.denominator for w in weights.values()))
     coeffs = [0] * (max(weights, default=0) + 1)
@@ -104,7 +106,8 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
         h = hermite(d).coeffs
         for j in range(d % 2, d + 1, 2):
             coeffs[j] += scale * h[j].numerator
-    return RationalPolynomial([Fraction(c, den) for c in coeffs])
+    zero = Fraction(0)
+    return RationalPolynomial([Fraction(c, den) if c else zero for c in coeffs])
 
 
 def correction_from_cumulants(
@@ -121,7 +124,11 @@ def correction_from_cumulants(
     [t^order] G^s / s! are the coefficients of y^s in F_order(y), where
     F(t, y) = exp(y G(t)) = sum_n F_n(y) t^n obeys the J.C.P. Miller
     recurrence n F_n = y sum_k k g_k F_{n-k}, F_0 = 1 (Knuth, TAOCP
-    Vol. 2, section 4.7); the k with g_k = 0 are skipped.
+    Vol. 2, section 4.7); the k with g_k = 0 are skipped.  It runs in
+    integers: with L the lcm of the denominators of the g_k, g_k = N_k / L
+    and e_n(s) = [y^s] F_n(y) * L^s * n!, it reads e_n(s+1) = sum_k
+    k N_k (n-1)!/(n-k)! e_{n-k}(s), and each weight is one Fraction
+    e_order(s) / (L^s order! sigma^(order+2s)).
 
     The algebra stays in the field of sigma^2, so order must be even: an
     odd order raises ValueError whenever some product of the g_k has a
@@ -140,31 +147,33 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    steps = []  # (k, k * g_k) for the k with g_k != 0
-    for k in range(1, order + 1):
-        g = Fraction(cumulants.gamma(k + 2), factorial(k + 2))
-        if g:
-            steps.append((k, k * g))
-    # series[n] maps s to the coefficient of y^s in F_n(y), zero ones kept
-    series: list[dict[int, Fraction]] = [{0: Fraction(1)}]
+    gs = [Fraction(cumulants.gamma(k), factorial(k)) for k in range(3, order + 3)]
+    den = math.lcm(*(g.denominator for g in gs))  # L, with g_k = N_k / L
+    steps = [(k, k * g.numerator * (den // g.denominator))  # (k, k N_k), g_k != 0
+             for k, g in enumerate(gs, 1) if g]
+    # series[n] maps s to the int [y^s] F_n(y) * L^s * n!, zero ones kept
+    series: list[dict[int, int]] = [{0: 1}]
     for n in range(1, order + 1):
-        f: dict[int, Fraction] = {}
-        for k, kg in steps:
+        f: dict[int, int] = {}
+        for k, kn in steps:
             if k > n:
                 break
+            step = kn * perm(n - 1, k - 1)  # k N_k (n-1)! / (n-k)!
             for s, c in series[n - k].items():
-                f[s + 1] = f.get(s + 1, 0) + kg * c
-        series.append({s: c / n for s, c in f.items()})
+                f[s + 1] = f.get(s + 1, 0) + step * c
+        series.append(f)
     if order % 2 and series[order]:  # order is a sum of k with g_k != 0
         raise ValueError(
             "term leaves an odd power of sigma: only cumulant inputs with "
             "vanishing odd cumulants are supported"
         )
-    return GaussianPolynomial(poly=_hermite_sum({
-        order + 2 * s: c / variance ** (order // 2 + s)
-        for s, c in series[order].items()
-        if c
-    }))
+    vn, vd, scale = variance.numerator, variance.denominator, factorial(order)
+    weights = {}
+    for s, c in series[order].items():
+        if c:
+            p = order // 2 + s
+            weights[order + 2 * s] = Fraction(c * vd**p, den**s * scale * vn**p)
+    return GaussianPolynomial(poly=_hermite_sum(weights))
 
 
 @lru_cache(maxsize=None)

@@ -30,10 +30,12 @@ class RationalPolynomial:
     coefficient of x**i.
 
     Trailing zero coefficients are stripped on construction, so equal
-    polynomials always compare equal.  Evaluation at int or Fraction
-    points is exact; at anything else (floats, numpy arrays) it runs a
-    floating Horner scheme on float coefficients converted once, on the
-    first such call.
+    polynomials always compare equal.  A coefficient of type exactly
+    Fraction is kept as it is (it is immutable); any other, a bool or a
+    Fraction subclass included, is converted by Fraction(c).  Evaluation
+    at int or Fraction points is exact; at anything else (floats, numpy
+    arrays) it runs a floating Horner scheme on float coefficients
+    converted once, on the first such call.
 
     Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
     scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
@@ -44,7 +46,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

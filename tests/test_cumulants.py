@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from extbinom import cumulant, cumulants_from_moments, cumulants_up_to
+from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_to
 
 
 class TestClosedForm:
@@ -31,6 +31,22 @@ class TestClosedForm:
     def test_variance_positive(self):
         for q in range(1, 13):
             assert cumulant(2, q) > 0
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_equals_fraction_arithmetic(self, q):
+        # the closed form as two Fraction operations, each normalising
+        for k in range(1, 401):
+            if k == 1:
+                expected = Fraction(q, 2)
+            elif k % 2:
+                expected = Fraction(0)
+            else:
+                expected = bernoulli(k) / k * ((q + 1) ** k - 1)
+            got = cumulant(k, q)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (
+                expected.numerator, expected.denominator
+            )
 
     @pytest.mark.parametrize("k,q", [(0, 2), (3, 0), (0, 0)])
     def test_domain_errors(self, k, q):

@@ -169,6 +169,27 @@ class TestGeneralBuilder:
                 correction_from_cumulants(order, fractions, 1)
             )
 
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_single_cumulant_takes_the_longest_step(self, order):
+        # only gamma_(order+2) != 0, so F_order = y g_order comes from the
+        # one step k = order, whose falling factorial (order-1)!/0! is the
+        # largest the recurrence forms
+        for gamma in (7, Fraction(-5, 3)):
+            gammas = [0] * (order + 2)
+            gammas[-1] = gamma
+            cv = CumulantVector(gammas=tuple(gammas))
+            for variance in (1, Fraction(3, 7)):
+                if order % 2:
+                    with pytest.raises(ValueError, match="odd power of sigma"):
+                        correction_from_cumulants(order, cv, variance)
+                    continue
+                expected = (
+                    Fraction(gamma, math.factorial(order + 2))
+                    / Fraction(variance) ** (order // 2 + 1)
+                    * hermite(order + 2)
+                )
+                assert correction_from_cumulants(order, cv, variance).poly == expected
+
     @given(data=st.data(), order=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_matches_partition_oracle(self, data, order):
@@ -200,8 +221,8 @@ class TestUniformBuilder:
     def test_first_order_closed_scalar(self, q):
         assert uniform_correction(1, q).poly == first_order_scalar(q) * hermite(4)
 
-    @pytest.mark.parametrize("q", range(1, 6))
-    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("q", [*range(1, 9), 12])
+    @pytest.mark.parametrize("order", range(1, 21))
     def test_matches_general_route(self, order, q):
         cv = cumulants_up_to(2 * order + 2, q)
         general = correction_from_cumulants(2 * order, cv, cumulant(2, q))

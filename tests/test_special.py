@@ -153,6 +153,25 @@ class TestRationalPolynomial:
         assert p.degree == 1
         assert RationalPolynomial([0, 0, 0]).is_zero
 
+    def test_coefficients_stored_as_plain_fractions(self):
+        class Sub(Fraction):
+            pass
+
+        forms = [
+            [1, 0, 2, 0, 0],
+            [True, False, 2, False],
+            [Fraction(1), Fraction(0), Fraction(4, 2), Fraction(0)],
+            [Sub(1), Sub(0), Sub(2), Sub(0), Sub(0)],
+        ]
+        polys = [RationalPolynomial(form) for form in forms]
+        for p in polys:
+            assert [type(c) for c in p.coeffs] == [Fraction] * 3
+            assert p == polys[0]
+            assert hash(p) == hash(polys[0])
+        assert polys[0].coeffs == (1, 0, 2)
+        third = Fraction(1, 3)
+        assert RationalPolynomial([third, 0]).coeffs[0] is third
+
     def test_exact_evaluation(self):
         p = RationalPolynomial([Fraction(1, 3), 0, 1])
         assert p(Fraction(1, 2)) == Fraction(7, 12)
