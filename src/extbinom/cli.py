@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+    def common(p: argparse.ArgumentParser, fmt=None) -> None:
+        fmt = fmt or p  # row passes the group in which --json excludes --csv
+        fmt.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
     p = sub.add_parser("coeff", help="exact coefficient for one (n, k, q)")
@@ -172,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("row", help="full exact coefficient row for (n, q)")
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
-    p.add_argument("--csv", action="store_true", help="emit CSV (the default)")
-    common(p)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true", help="emit CSV (the default)")
+    common(p, fmt)
     p.set_defaults(func=cmd_row)
 
     p = sub.add_parser(

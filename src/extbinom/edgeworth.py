@@ -4,13 +4,14 @@ coefficient rows.
 A correction term is a function ``(1/sqrt(2*pi)) * exp(-x^2/2) * P(x)``
 whose polynomial part P is assembled exactly: P = sum_s w_s H_{d_s}, one
 Hermite polynomial per part count s.  The weight w_s is a partial Bell
-polynomial in the cumulant bases, ``[t^v] G(t)^s / s!`` for the power
-series G(t) = sum_m base_m t^m (Comtet, Advanced Combinatorics, 1974,
-section 3.3), read off a power series instead of summed over the
-partitions of v.  Each builder runs its own series algorithm in integers
-over the common denominator of the bases, and the sum over s is formed
-in integers over that of the weights (the Hermite coefficients are
-integers), so a Fraction is built only per weight and per coefficient.
+polynomial in the cumulant bases g_k = gamma_{k+2} / (k+2)!,
+``[t^v] G(t)^s / s!`` for the power series G(t) = sum_k g_k t^k (Comtet,
+Advanced Combinatorics, 1974, section 3.3), read off a power series
+instead of summed over the partitions of v.  Both builders take these
+bases and differ only in their series algorithm, which runs in integers
+over the bases' common denominator; the sum over s is formed in integers
+over that of the weights (the Hermite coefficients are integers), so a
+Fraction is built only per weight and per coefficient.
 
 ``correction_from_cumulants``
     The general construction for any symmetric lattice distribution,
@@ -19,14 +20,12 @@ integers), so a Fraction is built only per weight and per coefficient.
     series.
 
 ``uniform_correction``
-    The closed form specific to the uniform distribution on
-    {0, ..., q}, written directly in Bernoulli numbers, by successive
-    integer powers of G.  Because all odd cumulants of the uniform
-    vanish, only even general terms survive, and
-    ``uniform_correction(v, q)`` equals
-    ``correction_from_cumulants(2*v, ...)``; the term of order v pairs
-    with n**-v.  The two routes must agree coefficient by coefficient,
-    which the test suite asserts exactly.
+    The uniform distribution on {0, ..., q}, by successive integer
+    powers of G.  All its odd cumulants vanish, so only even general
+    terms survive: ``uniform_correction(v, q)`` equals
+    ``correction_from_cumulants(2*v, ...)``, and the term of order v
+    pairs with n**-v.  The test suite asserts that the two routes agree
+    coefficient by coefficient.
 
 The construction applies to integer lattice distributions of maximal
 span 1 (support not contained in any coarser progression a + h*Z with
@@ -45,15 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
-from numbers import Real
+from numbers import Rational, Real
 
-from extbinom.cumulants import CumulantVector
+from extbinom.cumulants import CumulantVector, cumulant
 from extbinom.exact import _check_nq
-from extbinom.special import (
-    RationalPolynomial,
-    bernoulli,
-    hermite,
-)
+from extbinom.special import RationalPolynomial, hermite
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -91,6 +86,12 @@ def standardize(n: int, k: int, q: int) -> float:
     return delta * math.sqrt(3.0 / (q * (q + 2) * n))
 
 
+def _over_lcm(fractions: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the fractions' denominators and each numerator over D."""
+    den = math.lcm(*(f.denominator for f in fractions))
+    return den, [f.numerator * (den // f.denominator) for f in fractions]
+
+
 def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
     """sum_d weights[d] * H_d, assembled in integers.
 
@@ -99,10 +100,9 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
     an int, and one Fraction(sum, D) is built per nonzero coefficient;
     the zero ones, half of them by parity, share one Fraction(0).
     """
-    den = math.lcm(*(w.denominator for w in weights.values()))
+    den, scales = _over_lcm(list(weights.values()))
     coeffs = [0] * (max(weights, default=0) + 1)
-    for d, w in weights.items():
-        scale = w.numerator * (den // w.denominator)
+    for d, scale in zip(weights, scales):
         h = hermite(d).coeffs
         for j in range(d % 2, d + 1, 2):
             coeffs[j] += scale * h[j].numerator
@@ -111,7 +111,7 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
 
 
 def correction_from_cumulants(
-    order: int, cumulants: CumulantVector, variance: Fraction
+    order: int, cumulants: CumulantVector, variance: Rational
 ) -> GaussianPolynomial:
     """Correction term of the given order built from raw cumulants.
 
@@ -140,6 +140,8 @@ def correction_from_cumulants(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if not isinstance(variance, Rational):  # a float would be carried exactly
+        raise TypeError(f"variance must be an int or Fraction, got {variance!r}")
     variance = Fraction(variance)
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -148,9 +150,8 @@ def correction_from_cumulants(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
     gs = [Fraction(cumulants.gamma(k), factorial(k)) for k in range(3, order + 3)]
-    den = math.lcm(*(g.denominator for g in gs))  # L, with g_k = N_k / L
-    steps = [(k, k * g.numerator * (den // g.denominator))  # (k, k N_k), g_k != 0
-             for k, g in enumerate(gs, 1) if g]
+    den, numer = _over_lcm(gs)  # L and the N_k, with g_k = N_k / L
+    steps = [(k, k * nk) for k, nk in enumerate(numer, 1) if nk]  # g_k != 0
     # series[n] maps s to the int [y^s] F_n(y) * L^s * n!, zero ones kept
     series: list[dict[int, int]] = [{0: 1}]
     for n in range(1, order + 1):
@@ -178,43 +179,35 @@ def correction_from_cumulants(
 
 @lru_cache(maxsize=None)
 def uniform_correction(order: int, q: int) -> GaussianPolynomial:
-    """Correction term of the given order for the uniform on {0, ..., q},
-    from the Bernoulli-number closed form.
+    """Correction term of the given order for the uniform on {0, ..., q}.
 
     The polynomial part is
 
-        sum_s  (12/(q(q+2)))^order * (6/(q(q+2)))^s
-               * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
+        sum_s  (12/(q(q+2)))^(order+s) * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
 
-    with G(t) = sum_{m>=1} b_m t^m and the Bernoulli bases
-    b_m = B_{2(m+1)} ((q+1)^{2m+2} - 1) / ((2m+2)! (m+1)).  The bases
-    are brought to their common denominator L, so G = N(t) / L with
-    integer N, and the successive powers N^s, truncated at t^order, are
-    integer polynomials: [t^order] G^s = [t^order] N^s / L^s.  Even
-    degree 2*(order + s_max), even powers of x only.
+    with 12/(q(q+2)) = 1/sigma^2 and G(t) = sum_{m>=1} g_{2m} t^m: the
+    bases g_k = gamma_{k+2} / (k+2)! of ``correction_from_cumulants`` at
+    even k, from the Bernoulli closed form in ``cumulant``.  Only the
+    series algorithm differs from that route: the bases are brought to
+    their common denominator L, so G = N(t) / L with integer N, and the
+    successive powers N^s, truncated at t^order, are integer polynomials:
+    [t^order] G^s = [t^order] N^s / L^s.  Even degree 2*(order + s_max),
+    even powers of x only.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
-    qq2 = q * (q + 2)
-    bases = [
-        bernoulli(2 * m + 2) * ((q + 1) ** (2 * m + 2) - 1)
-        / (factorial(2 * m + 2) * (m + 1))
-        for m in range(1, order + 1)
-    ]
-    den = math.lcm(*(b.denominator for b in bases))
-    numer = [0] + [b.numerator * (den // b.denominator) for b in bases]
+    gs = [Fraction(cumulant(k, q), factorial(k)) for k in range(4, 2 * order + 3, 2)]
+    den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
     weights = {}
     power = [1] + [0] * order  # N^(s-1), truncated at t^order
     for s in range(1, order + 1):
         power = [0] * s + [
-            sum(power[i] * numer[d - i] for i in range(s - 1, d))
+            sum(power[i] * numer[d - i - 1] for i in range(s - 1, d))
             for d in range(s, order + 1)
         ]
         weights[2 * (order + s)] = Fraction(
-            12**order * 6**s * power[order],
-            qq2 ** (order + s) * den**s * factorial(s),
+            12 ** (order + s) * power[order],
+            (q * (q + 2)) ** (order + s) * den**s * factorial(s),
         )
     return GaussianPolynomial(poly=_hermite_sum(weights))
 

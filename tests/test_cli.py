@@ -144,6 +144,12 @@ class TestRow:
         rows = json.loads(out)
         assert sum(r["coefficient"] for r in rows) == 3**120
 
+    @pytest.mark.parametrize("flags", [["--csv", "--json"], ["--json", "--csv"]])
+    def test_csv_and_json_exclude_each_other(self, flags):
+        code, out, err = run_captured(["row", "2", "2", *flags])
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
 
 class TestExpand:
     def test_gaussian_peak(self, capsys):

@@ -19,6 +19,7 @@ from extbinom import (
     bernoulli,
     correction_from_cumulants,
     cumulant,
+    cumulants_from_moments,
     cumulants_up_to,
     enumerate_partition_solutions,
     hermite,
@@ -161,6 +162,12 @@ class TestGeneralBuilder:
         with pytest.raises(ValueError):
             correction_from_cumulants(0, cumulants_up_to(4, 1), Fraction(1, 4))
 
+    @pytest.mark.parametrize("variance", [0.1, 2.0, np.float64(0.25)])
+    def test_float_variance_rejected(self, variance):
+        # a float is not exact: 0.1 would be carried as its binary value
+        with pytest.raises(TypeError, match="variance"):
+            correction_from_cumulants(2, cumulants_up_to(4, 2), variance)
+
     def test_int_cumulants_stay_exact(self):
         ints = CumulantVector(gammas=(0, 1, 0, 1, 0, 1))
         fractions = CumulantVector(gammas=tuple(map(Fraction, ints.gammas)))
@@ -224,9 +231,12 @@ class TestUniformBuilder:
     @pytest.mark.parametrize("q", [*range(1, 9), 12])
     @pytest.mark.parametrize("order", range(1, 21))
     def test_matches_general_route(self, order, q):
-        cv = cumulants_up_to(2 * order + 2, q)
-        general = correction_from_cumulants(2 * order, cv, cumulant(2, q))
-        assert uniform_correction(order, q).poly == general.poly
+        # uniform_correction reads cumulant(); the general route fed from
+        # raw moments never calls bernoulli, so the check stays independent
+        for route in (cumulants_up_to, cumulants_from_moments):
+            cv = route(2 * order + 2, q)
+            general = correction_from_cumulants(2 * order, cv, cv.gamma(2)).poly
+            assert uniform_correction(order, q).poly == general, route.__name__
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_matches_partition_oracle(self, q):
