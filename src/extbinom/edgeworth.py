@@ -48,7 +48,7 @@ from numbers import Rational, Real
 
 from extbinom.cumulants import CumulantVector, cumulant
 from extbinom.exact import _check_nq
-from extbinom.special import RationalPolynomial, hermite
+from extbinom.special import RationalPolynomial, _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -103,9 +103,9 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
     den, scales = _over_lcm(list(weights.values()))
     coeffs = [0] * (max(weights, default=0) + 1)
     for d, scale in zip(weights, scales):
-        h = hermite(d).coeffs
+        h = _hermite_coeffs(d)
         for j in range(d % 2, d + 1, 2):
-            coeffs[j] += scale * h[j].numerator
+            coeffs[j] += scale * h[j]
     zero = Fraction(0)
     return RationalPolynomial([Fraction(c, den) if c else zero for c in coeffs])
 
@@ -232,11 +232,18 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     return gaussian(x) * (1.0 + _correction_sum(n, x, q, order))
 
 
-def _correction_sum(n: int, x, q: int, order: int):
+def _correction_sum(n, x, q: int, order: int, lengths=None):
     """sum_{v=1}^{order} P_v(x) / n**v at a standardized point x, or
     elementwise over a float array: the factor that multiplies the
-    Gaussian density, less its leading 1.  0.0 when order is 0."""
+    Gaussian density, less its leading 1.  0.0 when order is 0.
+
+    With ``lengths``, x holds one row per n in the sequence n, end to
+    end, lengths[i] points for n[i], each divided by float(n[i]**v): the
+    value numpy takes from the int n**v, so each row keeps its bits."""
+    if lengths is not None:
+        import numpy as np
     corr = 0.0
     for v in range(1, order + 1):
-        corr += uniform_correction(v, q).poly(x) / n**v
+        div = n**v if lengths is None else np.repeat([float(m**v) for m in n], lengths)
+        corr += uniform_correction(v, q).poly(x) / div
     return corr

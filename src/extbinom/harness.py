@@ -14,7 +14,8 @@ is memoized in an LRU cache keyed by (n, q) with 64 entries: the exact
 scaled values, the standardized points x and the Gaussian density at x,
 three read-only float arrays, 24 bytes per point, smaller than the
 integer row they come from.  A sweep over several orders converts each
-row to floats once and repeats only the correction polynomials.
+row to floats once and repeats only the correction polynomials, and
+evaluates each of them once over the half rows of all its n, end to end.
 
 All operations are pure; calls for distinct n are independent and safe
 to run concurrently.
@@ -91,28 +92,47 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     row and every correction are even about n*q/2.  The exact values, x
     and the Gaussian density come from a cache keyed by (n, q), so only
     the correction polynomials are evaluated per order; every value has
-    the bits of ``approximate_scaled`` at each k."""
+    the bits of ``approximate_scaled`` at each k.  It is the one-row case
+    of ``rate_sweep``'s evaluation."""
+    return _sup_errors([n], q, order)[0]
+
+
+def _sup_errors(ns: Sequence[int], q: int, order: int) -> list[tuple[float, int]]:
+    """uniform_error(n, q, order) for each n in ns: the half rows end to
+    end, each correction evaluated once, each first argmax on its slice."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    exact, x, base = _half_row(n, q)
-    err = abs(exact - base * (1.0 + _correction_sum(n, x, q, order)))
-    k = int(err.argmax())
-    return float(err[k]), k
+    import numpy as np
+
+    rows = [_half_row(n, q) for n in ns]
+    lengths = [len(x) for _, x, _ in rows]
+    exact, x, base = (np.concatenate(arrays) for arrays in zip(*rows))
+    err = abs(exact - base * (1.0 + _correction_sum(ns, x, q, order, lengths)))
+    out, start = [], 0
+    for length in lengths:
+        k = int(err[start : start + length].argmax())
+        out.append((float(err[start + k]), k))
+        start += length
+    return out
 
 
 def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
-    """Run uniform_error over n_list and fit the empirical decay rate.
+    """Measure uniform_error over n_list and fit the empirical decay rate.
 
-    For the uniform case the expected slope is -(order + 1), the power
-    of the first dropped correction term.  Requires at least 3 strictly
-    increasing n values.
+    Each correction polynomial is evaluated once over the half rows of
+    all n, end to end, and every record has the bits of its own
+    ``uniform_error(n, q, order)``.  For the uniform case the expected
+    slope is -(order + 1), the power of the first dropped correction
+    term.  Requires at least 3 strictly increasing n values.
     """
     ns = list(n_list)
     if len(ns) < 3:
         raise ValueError(f"need at least 3 values of n, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
-    records = tuple(SweepRecord(n, *uniform_error(n, q, order)) for n in ns)
+    records = tuple(
+        SweepRecord(n, *result) for n, result in zip(ns, _sup_errors(ns, q, order))
+    )
     if any(r.sup_error <= 0 for r in records):
         raise ValueError("sup_error vanished; cannot fit a log-log slope")
     slope, stderr = _ols_loglog(

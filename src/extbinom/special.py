@@ -35,7 +35,8 @@ class RationalPolynomial:
     Fraction subclass included, is converted by Fraction(c).  Evaluation
     at int or Fraction points is exact; at anything else (floats, numpy
     arrays) it runs a floating Horner scheme on float coefficients
-    converted once, on the first such call.
+    converted once, on the first such call, stepping in place on one new
+    array so that x is never written.
 
     Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
     scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
@@ -71,9 +72,11 @@ class RationalPolynomial:
             return acc
         if self._floats is None:
             self._floats = tuple(float(c) for c in reversed(self.coeffs))
-        acc = 0.0
-        for c in self._floats:
-            acc = acc * x + c
+        top, *rest = self._floats
+        acc = 0.0 * x + top  # a new array, or float, with the first step's bits
+        for c in rest:  # in place: the same IEEE steps, no temporaries
+            acc *= x
+            acc += c
         return acc
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
@@ -125,22 +128,29 @@ def bernoulli(m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def hermite(m: int) -> RationalPolynomial:
-    """Probabilist's Hermite polynomial H_m, exact integer coefficients.
+    """Probabilist's Hermite polynomial H_m, exact integer coefficients
+    (those of ``_hermite_coeffs``)."""
+    return RationalPolynomial(_hermite_coeffs(m))
+
+
+def _hermite_coeffs(m: int) -> tuple[int, ...]:
+    """The integer coefficients of H_m, that of x**i at index i.
 
     Closed form (DLMF section 18.5): the coefficient of x^(m-2j) is
     (-1)^j m! / (j! (m-2j)! 2^j) for j = 0..m//2, and every coefficient
     of the other parity is zero.  Each coefficient follows from the
     previous one by an exact integer step, so H_m costs O(m) integer
-    operations.
+    operations.  Uncached; the correction builders read these ints.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     coeffs = [0] * (m + 1)
     c = 1
-    for j in range(m // 2 + 1):
-        coeffs[m - 2 * j] = c
-        c = -c * (m - 2 * j) * (m - 2 * j - 1) // (2 * (j + 1))
-    return RationalPolynomial(coeffs)
+    for i in range(m, -1, -2):  # c is the coefficient of x**i
+        coeffs[i] = c
+        # times -i(i-1) / (m-i+2); exact, so the floor is the quotient
+        c = c * (i * (i - 1)) // (i - m - 2)
+    return tuple(coeffs)
 
 
 def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:

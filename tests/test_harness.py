@@ -20,7 +20,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom.harness import _half_row
+from extbinom.harness import SweepRecord, _half_row, _ols_loglog
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -100,6 +100,43 @@ class TestUniformError:
             rate_sweep(2, order, [50, 100, 200, 400])
         info = _half_row.cache_info()
         assert (info.misses, info.hits) == (4, 12)
+
+
+def scalar_record(n: int, q: int, order: int) -> SweepRecord:
+    """The sup error over the whole row and its first argmax, by a scalar
+    scan of approximate_scaled: the per-n loop rate_sweep replaced."""
+    scale = math.sqrt(q * (q + 2) * n / 12)
+    total = (q + 1) ** n
+    sup, argmax = -1.0, -1
+    for k, c in enumerate(compute_row(n, q).coeffs):
+        err = abs((c / total) * scale - approximate_scaled(n, k, q, order))
+        if err > sup:
+            sup, argmax = err, k
+    return SweepRecord(n, sup, argmax)
+
+
+class TestOnePassSweep:
+    @pytest.mark.parametrize(
+        "q, order, ns",
+        [(q, order, [50, 100, 200, 400]) for q in range(1, 9) for order in range(4)]
+        # n**v passes 2**53 and 2**63
+        + [(q, 8, [1250, 5000, 20000]) for q in (1, 2)]
+        + [(2, 40, ns) for ns in ([1, 2, 3], [7, 77, 777])],
+    )
+    def test_equals_per_n_loop(self, q, order, ns):
+        report = rate_sweep(q, order, ns)
+        expected = tuple(scalar_record(n, q, order) for n in ns)
+        assert report.records == expected
+        for r in report.records:
+            assert type(r.sup_error) is float and type(r.argmax_k) is int
+        fit = _ols_loglog(ns, [r.sup_error for r in expected])
+        assert (report.fitted_slope, report.slope_stderr) == fit
+
+    def test_negative_order_rejected_before_any_row(self):
+        misses = compute_row.cache_info().misses
+        with pytest.raises(ValueError):
+            rate_sweep(2, -1, [50, 100, 200])
+        assert compute_row.cache_info().misses == misses
 
 
 class TestRateSweep:

@@ -24,6 +24,8 @@ from extbinom import (
     enumerate_partition_solutions,
     hermite,
 )
+from extbinom.harness import _half_row
+from extbinom.special import _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -90,6 +92,9 @@ class TestHermite:
     @pytest.mark.parametrize("m", range(41))
     def test_against_rodrigues_oracle(self, m):
         assert hermite(m).coeffs == rodrigues_hermite(m)
+        ints = _hermite_coeffs(m)  # what the correction builders read
+        assert type(ints) is tuple and all(type(c) is int for c in ints)
+        assert ints == rodrigues_hermite(m)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_derivative_recurrence(self, m):
@@ -107,6 +112,8 @@ class TestHermite:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hermite(-2)
+        with pytest.raises(ValueError):
+            _hermite_coeffs(-2)
 
 
 class TestPartitionSolutions:
@@ -185,6 +192,27 @@ class TestRationalPolynomial:
         p = RationalPolynomial([1, 0, 1])
         xs = np.array([0.0, 1.0, 2.0])
         assert np.allclose(p(xs), [1.0, 2.0, 5.0])
+
+    def test_array_evaluation_matches_scalar_calls(self):
+        p = RationalPolynomial([Fraction(1, 3), 0, -2, Fraction(5, 7), 0, 1])
+        # a writable array, then a read-only one, where any write raises
+        for xs in (np.array([0.0, -0.0, 1e-300, -1.5, 2.25, 39.9, -40.0, 40.125]),
+                   _half_row(50, 2)[1]):
+            before = xs.copy()
+            got = p(xs)
+            expected = np.array([p(float(x)) for x in xs])
+            assert type(got) is np.ndarray
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(xs.view(np.int64), before.view(np.int64))
+
+    def test_evaluation_result_types(self):
+        xs = np.array([-1.0, 0.0, 2.0])
+        for p in (RationalPolynomial([3]), RationalPolynomial([0])):
+            got = p(xs)
+            assert type(got) is np.ndarray and got.shape == xs.shape
+            assert list(got) == [float(p.coeffs[0])] * 3
+            assert type(p(0.5)) is float
+        assert type(RationalPolynomial([1, -2, 3])(0.5)) is float
 
     @given(p=polys, r=polys, x=rationals)
     @settings(max_examples=80)
