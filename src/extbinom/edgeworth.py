@@ -21,11 +21,11 @@ Fraction is built only per weight and per coefficient.
 
 ``uniform_correction``
     The uniform distribution on {0, ..., q}, by successive integer
-    powers of G.  All its odd cumulants vanish, so only even general
-    terms survive: ``uniform_correction(v, q)`` equals
-    ``correction_from_cumulants(2*v, ...)``, and the term of order v
-    pairs with n**-v.  The test suite asserts that the two routes agree
-    coefficient by coefficient.
+    powers of G, with sigma^2 = ``cumulant(2, q)``.  All its odd
+    cumulants vanish, so only even general terms survive:
+    ``uniform_correction(v, q)`` equals ``correction_from_cumulants(2*v,
+    ...)``, and the term of order v pairs with n**-v.  The test suite
+    asserts that the two routes agree coefficient by coefficient.
 
 The construction applies to integer lattice distributions of maximal
 span 1 (support not contained in any coarser progression a + h*Z with
@@ -78,12 +78,13 @@ class GaussianPolynomial:
 
 
 def standardize(n: int, k: int, q: int) -> float:
-    """Lattice point k recentred by the mean n*q/2 and scaled by the
-    standard deviation sqrt(n*q*(q+2)/12) of the n-fold uniform sum;
-    exactly 0.0 at the central point k = n*q/2."""
+    """Lattice point k less the mean n*a/b, over the standard deviation
+    sqrt(n*c/d) of the n-fold uniform sum, with a/b = ``cumulant(1, q)`` and
+    c/d = ``cumulant(2, q)`` reduced; exactly 0.0 at the central point."""
     _check_nq(n, q)
-    delta = 2 * k - n * q  # 2*(k - n*q/2), exact in integers
-    return delta * math.sqrt(3.0 / (q * (q + 2) * n))
+    a, b = cumulant(1, q).as_integer_ratio()
+    c, d = cumulant(2, q).as_integer_ratio()
+    return (b * k - n * a) / b * math.sqrt(d / (c * n))
 
 
 def _over_lcm(fractions: list[Fraction]) -> tuple[int, list[int]]:
@@ -183,9 +184,9 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
 
     The polynomial part is
 
-        sum_s  (12/(q(q+2)))^(order+s) * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
+        sum_s  sigma^(-2(order+s)) * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
 
-    with 12/(q(q+2)) = 1/sigma^2 and G(t) = sum_{m>=1} g_{2m} t^m: the
+    with sigma^2 = ``cumulant(2, q)`` and G(t) = sum_{m>=1} g_{2m} t^m: the
     bases g_k = gamma_{k+2} / (k+2)! of ``correction_from_cumulants`` at
     even k, from the Bernoulli closed form in ``cumulant``.  Only the
     series algorithm differs from that route: the bases are brought to
@@ -198,6 +199,7 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
         raise ValueError(f"order must be >= 1, got {order}")
     gs = [Fraction(cumulant(k, q), factorial(k)) for k in range(4, 2 * order + 3, 2)]
     den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
+    vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
     weights = {}
     power = [1] + [0] * order  # N^(s-1), truncated at t^order
     for s in range(1, order + 1):
@@ -206,8 +208,8 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
             for d in range(s, order + 1)
         ]
         weights[2 * (order + s)] = Fraction(
-            12 ** (order + s) * power[order],
-            (q * (q + 2)) ** (order + s) * den**s * factorial(s),
+            vd ** (order + s) * power[order],
+            vn ** (order + s) * den**s * factorial(s),
         )
     return GaussianPolynomial(poly=_hermite_sum(weights))
 

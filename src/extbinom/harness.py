@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from extbinom.cumulants import cumulant
 from extbinom.edgeworth import (
     _correction_sum,
     approximate_scaled,
@@ -57,9 +58,9 @@ class SweepReport:
 
 
 def _scale(n: int, q: int) -> float:
-    """sqrt(q*(q+2)*n/12), the standard deviation of the n-fold uniform
-    sum, which turns a point probability into a density height."""
-    return math.sqrt(q * (q + 2) * n / 12)
+    """sqrt(n * cumulant(2, q)), rounded once: the standard deviation of the
+    n-fold uniform sum, which turns a probability into a density height."""
+    return math.sqrt(cumulant(2, q) * n)
 
 
 def exact_scaled_value(n: int, k: int, q: int) -> float:
@@ -166,7 +167,7 @@ def central_ratio(n: int, q: int) -> float:
     if (n * q) % 2:
         raise ValueError(f"central index requires n*q even, got n={n}, q={q}")
     c = coefficient(n, n * q // 2, q)
-    # exact integer ratio, then one float conversion
+    # exact ratio, one float conversion; its own prefactor keeps the bits that tests pin
     return (c / compute_row(n, q).total) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
 
 

@@ -13,6 +13,9 @@ from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_t
 class TestClosedForm:
     def test_mean(self):
         assert cumulant(1, 5) == Fraction(5, 2)
+        # standardize reads the reduced form: denominator 1 for even q, 2 for odd
+        for q in range(1, 13):
+            assert cumulant(1, q).as_integer_ratio() == ((q, 2) if q % 2 else (q // 2, 1))
 
     def test_variance(self):
         assert cumulant(2, 2) == Fraction(2, 3)

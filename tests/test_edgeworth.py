@@ -26,6 +26,7 @@ from extbinom import (
     standardize,
     uniform_correction,
 )
+from extbinom.harness import _scale
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -104,6 +105,23 @@ class TestStandardize:
         k = data.draw(st.integers(-n * q, 2 * n * q))
         x = standardize(n, k, q)
         assert (x == 0.0) == (2 * k == n * q)
+
+    def test_bits(self):
+        # standardize reads the mean and variance from cumulant; the
+        # reference writes them out, and the reduced forms differ from it
+        # by powers of 2 only, so below q(q+2)n = 2^53 the bits agree
+        for q in range(1, 13):
+            for n in (1, 2, 7, 50, 101, 400, 10**6, 2**40 + 3):
+                root = math.sqrt(3.0 / (q * (q + 2) * n))
+                nq = n * q
+                for k in (-5, 0, 1, nq // 3, nq // 2, nq, nq + 7):
+                    assert standardize(n, k, q).hex() == ((2 * k - nq) * root).hex()
+                if n <= 400:
+                    ks = np.arange(nq + 1)
+                    assert standardize(n, ks, q).tobytes() == ((2 * ks - nq) * root).tobytes()
+                # _scale rounds the same real number once, at every n
+                assert _scale(n, q) == math.sqrt(q * (q + 2) * n / 12)
+            assert _scale(2**70, q) == math.sqrt(q * (q + 2) * 2**70 / 12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
