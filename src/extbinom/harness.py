@@ -48,7 +48,9 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepReport:
     """Per-n sup errors for one (q, order) pair plus the least-squares
-    slope of log(sup_error) against log(n)."""
+    slope of log(sup_error) against log(n), computed exactly from the
+    float logs and rounded once, and its standard error, the sqrt of the
+    exact variance rounded once."""
 
     q: int
     order: int
@@ -134,8 +136,10 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     records = tuple(
         SweepRecord(n, *result) for n, result in zip(ns, _sup_errors(ns, q, order))
     )
-    if any(r.sup_error <= 0 for r in records):
-        raise ValueError("sup_error vanished; cannot fit a log-log slope")
+    for r in records:
+        if not 0 < r.sup_error < math.inf:
+            raise ValueError(
+                f"sup_error at n={r.n} is {r.sup_error!r}; cannot fit a log-log slope")
     slope, stderr = _ols_loglog(
         [r.n for r in records], [r.sup_error for r in records]
     )
@@ -145,15 +149,28 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
 
 
 def _ols_loglog(ns: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
-    import numpy as np  # imported lazily so that coeff, row and expand never load it
+    """Least-squares slope of log(error) against log(n) and its standard
+    error, exactly from the float logs: each is an int over a power of two,
+    so the sums are exact ints, the slope is one correctly rounded int/int
+    division and the stderr the sqrt of another.  No numpy, so no LAPACK."""
+    m = len(ns)
+    xs, dx = _over_power_of_two([math.log(n) for n in ns])
+    ys, dy = _over_power_of_two([math.log(e) for e in errors])
+    sx, sy = sum(xs), sum(ys)
+    sxx = m * sum(a * a for a in xs) - sx * sx
+    sxy = m * sum(a * b for a, b in zip(xs, ys)) - sx * sy
+    syy = m * sum(b * b for b in ys) - sy * sy
+    slope = sxy * dx / (sxx * dy)
+    # the slope's variance s^2 / sum((x - mean)^2); by Cauchy-Schwarz never < 0
+    var = (syy * sxx - sxy * sxy) * dx * dx / ((m - 2) * sxx * sxx * dy * dy)
+    return slope, math.sqrt(var)
 
-    xs = np.log(np.asarray(ns, dtype=float))
-    ys = np.log(np.asarray(errors, dtype=float))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    sxx = float(np.sum((xs - xs.mean()) ** 2))
-    s2 = float(resid @ resid) / (len(xs) - 2)
-    return float(slope), math.sqrt(s2 / sxx)
+
+def _over_power_of_two(values: list[float]) -> tuple[list[int], int]:
+    """Ints N_i and one power of two d with values[i] == N_i / d exactly."""
+    pairs = [v.as_integer_ratio() for v in values]
+    d = max(b for _, b in pairs)
+    return [a * (d // b) for a, b in pairs], d
 
 
 def central_ratio(n: int, q: int) -> float:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extbinom import cli, coefficient
+from extbinom import cli, coefficient, harness
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -204,6 +204,16 @@ class TestSweep:
 
     def test_too_few_points_exit_2(self, capsys):
         assert run(capsys, "sweep", "1", "--order", "0", "--n-list", "10")[0] == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_sup_error_exit_2(self, capsys, monkeypatch, bad):
+        monkeypatch.setattr(
+            harness, "_sup_errors",
+            lambda ns, q, order: [(bad if n == 40 else 1e-3, 0) for n in ns],
+        )
+        code, out, err = run(capsys, "sweep", "2", "--n-list", "20,40,80")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sup_error at n=40 is ")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -392,6 +402,16 @@ def test_scalar_commands_do_not_import_numpy(argv):
         "import sys\n"
         "from extbinom.cli import main\n"
         f"assert main({argv!r}) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    ))
+
+
+def test_fit_does_not_import_numpy():
+    run_python("-c", (
+        "import sys\n"
+        "from extbinom.harness import _ols_loglog\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by extbinom.harness'\n"
+        "_ols_loglog([50, 100, 200, 400], [2e-3, 9e-4, 5e-4, 2e-4])\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
     ))
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extbinom import (
     approximate_scaled,
@@ -16,6 +18,7 @@ from extbinom import (
     compute_row,
     exact_scaled_value,
     first_order_cross_check,
+    harness,
     rate_sweep,
     uniform_correction,
     uniform_error,
@@ -155,6 +158,57 @@ class TestRateSweep:
             rate_sweep(2, 0, [50, 100, 100])
         with pytest.raises(ValueError):
             rate_sweep(2, 0, [100, 50, 200])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_sup_error_not_positive_and_finite(self, monkeypatch, bad):
+        # no real input has reached this; inside the fit,
+        # float.as_integer_ratio would raise on nan and inf
+        monkeypatch.setattr(
+            harness, "_sup_errors",
+            lambda ns, q, order: [(bad if n == 100 else 1e-3, 0) for n in ns],
+        )
+        with pytest.raises(ValueError, match=r"^sup_error at n=100 is "):
+            rate_sweep(2, 0, [50, 100, 200])
+
+
+def fraction_fit(ns, errors):
+    """The textbook least-squares line through (log n, log error), in exact
+    rationals on the float logs: slope, then the stderr from the residuals
+    of the exact line, each rounded to float once."""
+    xs = [Fraction(math.log(n)) for n in ns]
+    ys = [Fraction(math.log(e)) for e in errors]
+    m = len(xs)
+    xbar, ybar = sum(xs) / m, sum(ys) / m
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    intercept = ybar - slope * xbar
+    ssr = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    return float(slope), math.sqrt(float(ssr / (m - 2) / sxx))
+
+
+@st.composite
+def fit_points(draw):
+    ns = sorted(draw(st.sets(st.integers(1, 10**6), min_size=3, max_size=8)))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return ns, draw(st.lists(positive, min_size=len(ns), max_size=len(ns)))
+
+
+class TestExactFit:
+    @given(fit_points())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_oracle(self, points):
+        ns, errors = points
+        fit = _ols_loglog(ns, errors)
+        assert fit == fraction_fit(ns, errors)
+        assert all(type(v) is float for v in fit)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_sweep_grid(self, q):
+        ns = [50, 100, 200, 400]
+        for order in range(4):
+            report = rate_sweep(q, order, ns)
+            errors = [r.sup_error for r in report.records]
+            assert (report.fitted_slope, report.slope_stderr) == fraction_fit(ns, errors)
 
 
 class TestCentralRatio:
