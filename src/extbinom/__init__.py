@@ -3,70 +3,41 @@
 refined by explicitly constructed higher-order correction terms, and a
 harness that measures the approximation's uniform error and empirical
 convergence rate against the exact values.
+
+Every public name loads on first use: ``import extbinom`` imports no
+submodule, and ``extbinom.compute_row`` (or ``from extbinom import
+compute_row``) imports only ``extbinom.exact`` and what it needs.
 """
 
-from extbinom.cumulants import (
-    CumulantVector,
-    cumulant,
-    cumulants_from_moments,
-    cumulants_up_to,
-)
-from extbinom.edgeworth import (
-    GaussianPolynomial,
-    approximate_scaled,
-    correction_from_cumulants,
-    standardize,
-    uniform_correction,
-)
-from extbinom.exact import (
-    BigRow,
-    coefficient,
-    composition_count,
-    compute_row,
-    iter_rows,
-    scaled_probability,
-)
-from extbinom.harness import (
-    SweepRecord,
-    SweepReport,
-    central_ratio,
-    exact_scaled_value,
-    first_order_cross_check,
-    rate_sweep,
-    uniform_error,
-)
-from extbinom.special import (
-    RationalPolynomial,
-    bernoulli,
-    enumerate_partition_solutions,
-    hermite,
-)
+import importlib
 
-__all__ = [
-    "BigRow",
-    "CumulantVector",
-    "GaussianPolynomial",
-    "RationalPolynomial",
-    "SweepRecord",
-    "SweepReport",
-    "approximate_scaled",
-    "bernoulli",
-    "central_ratio",
-    "coefficient",
-    "composition_count",
-    "compute_row",
-    "correction_from_cumulants",
-    "cumulant",
-    "cumulants_from_moments",
-    "cumulants_up_to",
-    "enumerate_partition_solutions",
-    "exact_scaled_value",
-    "first_order_cross_check",
-    "hermite",
-    "iter_rows",
-    "rate_sweep",
-    "scaled_probability",
-    "standardize",
-    "uniform_correction",
-    "uniform_error",
-]
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "cumulants": ("CumulantVector", "cumulant", "cumulants_from_moments",
+                  "cumulants_up_to"),
+    "edgeworth": ("GaussianPolynomial", "approximate_scaled",
+                  "correction_from_cumulants", "standardize", "uniform_correction"),
+    "exact": ("BigRow", "coefficient", "composition_count", "compute_row",
+              "iter_rows", "scaled_probability"),
+    "harness": ("SweepRecord", "SweepReport", "central_ratio", "exact_scaled_value",
+                "first_order_cross_check", "rate_sweep", "uniform_error"),
+    "special": ("RationalPolynomial", "bernoulli", "enumerate_partition_solutions",
+                "hermite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, bound on the package by its import
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,27 +13,18 @@ error, which includes a float that is not finite (nan, inf) in any
 cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
 runs.
+
+Each subcommand imports, when it runs, only the library functions it
+calls, and ``_render`` only the module of the format it writes, so a
+short command such as ``coeff`` starts without loading the rest of the
+package or numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
-from pathlib import Path
-
-from extbinom.cumulants import cumulants_from_moments, cumulants_up_to
-from extbinom.edgeworth import (
-    approximate_scaled,
-    gaussian,
-    standardize,
-    uniform_correction,
-)
-from extbinom.exact import coefficient, compute_row
-from extbinom.harness import exact_scaled_value, rate_sweep
 
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
 # box with Python 3.11: every correction up to order 40 builds in about
@@ -55,8 +46,13 @@ def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> 
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} is not a finite number: {value!r}")
     if args.json:
+        import json
+
         rows = rows + [footer] if footer else rows
         return json.dumps(rows, indent=2, default=str) + "\n"
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
@@ -72,17 +68,29 @@ def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> 
 
 
 def cmd_coeff(args) -> str:
+    from extbinom.exact import coefficient
+
     value = coefficient(args.n, args.k, args.q)
     row = {"n": args.n, "k": args.k, "q": args.q, "coefficient": value}
     return _render(args, [row]) if args.json else f"{value}\n"
 
 
 def cmd_row(args) -> str:
+    from extbinom.exact import compute_row
+
     coeffs = compute_row(args.n, args.q).coeffs
     return _render(args, [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)])
 
 
 def cmd_expand(args) -> str:
+    from extbinom.edgeworth import (
+        approximate_scaled,
+        gaussian,
+        standardize,
+        uniform_correction,
+    )
+    from extbinom.harness import exact_scaled_value
+
     n, k, q, order = args.n, args.k, args.q, args.order
     exact = exact_scaled_value(n, k, q)
     approx = approximate_scaled(n, k, q, order)
@@ -113,6 +121,8 @@ def cmd_expand(args) -> str:
 
 
 def cmd_sweep(args) -> str:
+    from extbinom.harness import rate_sweep
+
     report = rate_sweep(args.q, args.order, args.n_list)
     rows = [
         {"n": r.n, "sup_error": r.sup_error, "argmax_k": r.argmax_k}
@@ -126,6 +136,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_cumulants(args) -> str:
+    from extbinom.cumulants import cumulants_from_moments, cumulants_up_to
+
     gammas = cumulants_up_to(args.max_order, args.q).gammas
     rows = [{"k": k, "gamma": gamma} for k, gamma in enumerate(gammas, 1)]
     if args.oracle:
@@ -137,6 +149,8 @@ def cmd_cumulants(args) -> str:
 
 
 def cmd_qpoly(args) -> str:
+    from extbinom.edgeworth import uniform_correction
+
     poly = uniform_correction(args.nu, args.q).poly
     rows = [
         {"power": i, "coefficient": c}
@@ -254,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"{option} {value} exceeds the limit of {limit}")
             text = args.func(args)
             if args.out:
+                from pathlib import Path
+
                 Path(args.out).write_text(text)
             else:
                 sys.stdout.write(text)

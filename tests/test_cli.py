@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extbinom import cli, coefficient, harness
+from extbinom import coefficient, cumulants, edgeworth, harness
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -282,6 +282,16 @@ class WorkStarted(Exception):
     pass
 
 
+# the library functions that start an order-bounded command's work, by
+# the module that defines them: each cmd_* imports them from there when
+# it runs, so a patch there is what the command calls
+WORK = {
+    harness: ("exact_scaled_value", "rate_sweep"),
+    edgeworth: ("approximate_scaled", "uniform_correction"),
+    cumulants: ("cumulants_up_to",),
+}
+
+
 class TestOrderLimits:
     """Each order option is checked against its limit before any work."""
 
@@ -289,9 +299,9 @@ class TestOrderLimits:
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise WorkStarted
-        for name in ("exact_scaled_value", "approximate_scaled", "rate_sweep",
-                     "cumulants_up_to", "uniform_correction"):
-            monkeypatch.setattr(cli, name, refuse)
+        for module, names in WORK.items():
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize(
         "template,option,limit",
@@ -403,6 +413,38 @@ def test_scalar_commands_do_not_import_numpy(argv):
         "from extbinom.cli import main\n"
         f"assert main({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    ))
+
+
+LIBRARY = {f"extbinom.{name}" for name in
+           ("cumulants", "edgeworth", "exact", "harness", "special")}
+
+
+@pytest.mark.parametrize(
+    "command,absent",
+    [
+        ("coeff 4 4 2", LIBRARY - {"extbinom.exact"} | {"json", "csv"}),
+        ("coeff 4 4 2 --json", LIBRARY - {"extbinom.exact"}),
+        ("row 2 2", LIBRARY - {"extbinom.exact"}),
+        ("row 2 2 --json", LIBRARY - {"extbinom.exact"}),
+        ("cumulants 2 --max-order 4 --oracle",
+         {"extbinom.exact", "extbinom.edgeworth", "extbinom.harness"}),
+        ("qpoly 2 --nu 1", {"extbinom.harness"}),
+        ("sweep 2 --order 1 --n-list 50,100,200", set()),
+    ],
+    ids=["coeff", "coeff-json", "row", "row-json", "cumulants", "qpoly", "sweep"],
+)
+def test_command_loads_only_what_it_runs(command, absent):
+    # the rest of the library is start-up time a command does not need;
+    # numpy is most of it, and only sweep evaluates floats over whole rows
+    argv = command.split()
+    run_python("-c", (
+        "import sys\n"
+        "from extbinom.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"loaded = sorted(set(sys.modules) & set({sorted(absent)!r}))\n"
+        "assert not loaded, loaded\n"
+        f"assert ('numpy' in sys.modules) == {argv[0] == 'sweep'}, 'numpy'\n"
     ))
 
 
@@ -588,9 +630,10 @@ def test_invalid_input_exits_2(template, values, guarded, data, as_json):
         args.append("--json")
     with ExitStack() as stack:
         if guarded:  # a limit the guard misses fails here instead of running
-            for name in ("exact_scaled_value", "approximate_scaled", "rate_sweep",
-                         "cumulants_up_to", "uniform_correction"):
-                stack.enter_context(mock.patch.object(cli, name, side_effect=WorkStarted))
+            for module, names in WORK.items():
+                for name in names:
+                    stack.enter_context(
+                        mock.patch.object(module, name, side_effect=WorkStarted))
         code, out, err = run_captured(args)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
