@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 
 from extbinom.special import bernoulli
@@ -46,8 +47,10 @@ def _check_kq(k: int, q: int) -> None:
         raise ValueError(f"q must be a positive integer, got {q}")
 
 
+@lru_cache(maxsize=1024, typed=True)
 def cumulant(k: int, q: int) -> Fraction:
-    """Cumulant gamma_k of the uniform distribution on {0, ..., q}."""
+    """Cumulant gamma_k of the uniform distribution on {0, ..., q}; memoized
+    per argument type, so a float q fails as it would uncached."""
     _check_kq(k, q)
     if k == 1:
         return Fraction(q, 2)

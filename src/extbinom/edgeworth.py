@@ -231,21 +231,7 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     x = standardize(n, k, q)
-    return gaussian(x) * (1.0 + _correction_sum(n, x, q, order))
-
-
-def _correction_sum(n, x, q: int, order: int, lengths=None):
-    """sum_{v=1}^{order} P_v(x) / n**v at a standardized point x, or
-    elementwise over a float array: the factor that multiplies the
-    Gaussian density, less its leading 1.  0.0 when order is 0.
-
-    With ``lengths``, x holds one row per n in the sequence n, end to
-    end, lengths[i] points for n[i], each divided by float(n[i]**v): the
-    value numpy takes from the int n**v, so each row keeps its bits."""
-    if lengths is not None:
-        import numpy as np
     corr = 0.0
     for v in range(1, order + 1):
-        div = n**v if lengths is None else np.repeat([float(m**v) for m in n], lengths)
-        corr += uniform_correction(v, q).poly(x) / div
-    return corr
+        corr += uniform_correction(v, q).poly(x) / n**v
+    return gaussian(x) * (1.0 + corr)

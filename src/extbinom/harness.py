@@ -13,12 +13,14 @@ The order-independent part of a row's evaluation, over k = 0..n*q//2,
 is memoized in an LRU cache keyed by (n, q) with 64 entries: the exact
 scaled values, the standardized points x and the Gaussian density at x,
 three read-only float arrays, 24 bytes per point, smaller than the
-integer row they come from.  A sweep over several orders converts each
-row to floats once and repeats only the correction polynomials, and
-evaluates each of them once over the half rows of all its n, end to end.
+integer row they come from.  A sweep joins the half rows of all its n
+end to end once per (ns, q) (one entry, 24 bytes per point) and keeps
+the sum of its corrections up to each order (four entries, 8 bytes per
+point), so a sweep over orders 0, 1, 2, ... converts each row once and
+evaluates each correction polynomial once, over the half rows of all n.
 
-All operations are pure; calls for distinct n are independent and safe
-to run concurrently.
+All operations are pure, and every cache is an lru_cache (thread-safe)
+of read-only arrays, so calls are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Sequence
 
 from extbinom.cumulants import cumulant
 from extbinom.edgeworth import (
-    _correction_sum,
     approximate_scaled,
     gaussian,
     standardize,
+    uniform_correction,
 )
 from extbinom.exact import _check_nq, coefficient, compute_row
 
@@ -97,26 +99,51 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     the correction polynomials are evaluated per order; every value has
     the bits of ``approximate_scaled`` at each k.  It is the one-row case
     of ``rate_sweep``'s evaluation."""
-    return _sup_errors([n], q, order)[0]
+    return _sup_errors((n,), q, order)[0]
 
 
-def _sup_errors(ns: Sequence[int], q: int, order: int) -> list[tuple[float, int]]:
+def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, int]]:
     """uniform_error(n, q, order) for each n in ns: the half rows end to
     end, each correction evaluated once, each first argmax on its slice."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    import numpy as np
-
-    rows = [_half_row(n, q) for n in ns]
-    lengths = [len(x) for _, x, _ in rows]
-    exact, x, base = (np.concatenate(arrays) for arrays in zip(*rows))
-    err = abs(exact - base * (1.0 + _correction_sum(ns, x, q, order, lengths)))
+    exact, _, base, lengths = _joined(ns, q)
+    err = abs(exact - base * (1.0 + _partial_sum(ns, q, order)))
     out, start = [], 0
     for length in lengths:
         k = int(err[start : start + length].argmax())
         out.append((float(err[start + k]), k))
         start += length
     return out
+
+
+@lru_cache(maxsize=1)
+def _joined(ns: tuple[int, ...], q: int):
+    """The half rows of every n in ns end to end, read-only: the exact
+    values, x and the Gaussian density, and each row's length."""
+    import numpy as np
+
+    rows = [_half_row(n, q) for n in ns]
+    arrays = tuple(np.concatenate(a) for a in zip(*rows))
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, tuple(len(x) for _, x, _ in rows))
+
+
+@lru_cache(maxsize=4)
+def _partial_sum(ns: tuple[int, ...], q: int, order: int):
+    """sum_{v=1}^{order} P_v(x) / n**v over _joined(ns, q)'s x, read-only:
+    the sum of order - 1 plus P_order(x) over each row's float(n**order),
+    the float numpy takes from the int n**order, so every bit is kept."""
+    if order == 0:
+        return 0.0
+    import numpy as np
+
+    _, x, _, lengths = _joined(ns, q)
+    div = np.repeat([float(n**order) for n in ns], lengths)
+    corr = _partial_sum(ns, q, order - 1) + uniform_correction(order, q).poly(x) / div
+    corr.flags.writeable = False
+    return corr
 
 
 def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
@@ -128,7 +155,7 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     slope is -(order + 1), the power of the first dropped correction
     term.  Requires at least 3 strictly increasing n values.
     """
-    ns = list(n_list)
+    ns = tuple(n_list)
     if len(ns) < 3:
         raise ValueError(f"need at least 3 values of n, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):

@@ -36,7 +36,8 @@ class RationalPolynomial:
     at int or Fraction points is exact; at anything else (floats, numpy
     arrays) it runs a floating Horner scheme on float coefficients
     converted once, on the first such call, stepping in place on one new
-    array so that x is never written.
+    array so that x is never written; it skips the add of each zero
+    coefficient but the constant, with the bits of the full scheme.
 
     Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
     scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
@@ -76,8 +77,9 @@ class RationalPolynomial:
         acc = 0.0 * x + top  # a new array, or float, with the first step's bits
         for c in rest:  # in place: the same IEEE steps, no temporaries
             acc *= x
-            acc += c
-        return acc
+            if c:  # + 0.0 changes at most the sign of a zero, and the next
+                acc += c  # nonzero add or the last + 0.0 gives the same bits
+        return acc if self._floats[-1] else acc + 0.0
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coeffs, other.coeffs

@@ -4,6 +4,7 @@ ratio, and the first-order cross check."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,12 @@ from extbinom import (
 from extbinom.harness import SweepRecord, _half_row, _ols_loglog
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def clear_sweep_caches():
+    _half_row.cache_clear()
+    harness._joined.cache_clear()
+    harness._partial_sum.cache_clear()
 
 
 class TestExactScaledValue:
@@ -98,11 +105,12 @@ class TestUniformError:
                 a[0] = 0.0
 
     def test_sweep_converts_each_row_once(self):
-        _half_row.cache_clear()
+        clear_sweep_caches()
         for order in range(4):
             rate_sweep(2, order, [50, 100, 200, 400])
         info = _half_row.cache_info()
-        assert (info.misses, info.hits) == (4, 12)
+        # orders 1..3 read the joined rows, not _half_row
+        assert (info.misses, info.hits) == (4, 0)
 
 
 def scalar_record(n: int, q: int, order: int) -> SweepRecord:
@@ -140,6 +148,64 @@ class TestOnePassSweep:
         with pytest.raises(ValueError):
             rate_sweep(2, -1, [50, 100, 200])
         assert compute_row.cache_info().misses == misses
+
+
+class TestCachedSums:
+    """A sweep keeps the joined half rows of its (ns, q) and each order's
+    sum S_o = S_(o-1) + P_o(x) / n**o; in any order of orders, from cold
+    caches or warm, every report equals a fresh one."""
+
+    @pytest.mark.parametrize(
+        "q, top, ns",
+        [(q, 3, [50, 100, 200, 400]) for q in range(1, 9)]
+        + [(q, 8, [1250, 5000, 20000]) for q in (1, 2)]
+        + [(2, 40, ns) for ns in ([1, 2, 3], [7, 77, 777])],
+    )
+    def test_any_order_of_orders_equals_fresh(self, q, top, ns):
+        fresh = {}
+        for order in range(top + 1):
+            clear_sweep_caches()
+            fresh[order] = rate_sweep(q, order, ns)
+            if top == 3:  # TestOnePassSweep pins the other cases' top order
+                assert fresh[order].records == tuple(
+                    scalar_record(n, q, order) for n in ns)
+        orders = list(range(top + 1))
+        shuffled = random.Random(q * top).sample(orders, len(orders))
+        for visit in (orders, orders[::-1], shuffled):
+            clear_sweep_caches()
+            for _ in ("cold", "warm"):
+                for order in visit:
+                    assert rate_sweep(q, order, ns) == fresh[order]
+
+    def test_next_order_evaluates_only_its_polynomial(self, monkeypatch):
+        evaluated = []
+
+        def counted(v, q):
+            evaluated.append(v)
+            return uniform_correction(v, q)
+
+        monkeypatch.setattr(harness, "uniform_correction", counted)
+        ns = [50, 100, 200, 400]
+        clear_sweep_caches()
+        for order in range(6):
+            evaluated.clear()
+            rate_sweep(3, order, ns)
+            assert evaluated == ([order] if order else [])
+        # the highest order first evaluates each lower polynomial once
+        clear_sweep_caches()
+        evaluated.clear()
+        for order in (3, 2, 1, 0):
+            rate_sweep(3, order, ns)
+        assert evaluated == [1, 2, 3]
+
+    def test_cached_arrays_are_read_only(self):
+        ns = (50, 100, 200)
+        rate_sweep(2, 2, ns)
+        exact, x, base, _ = harness._joined(ns, 2)
+        sums = harness._partial_sum(ns, 2, 1), harness._partial_sum(ns, 2, 2)
+        for a in (exact, x, base, *sums):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestRateSweep:

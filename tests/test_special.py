@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 
@@ -151,6 +151,27 @@ rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
 polys = st.lists(rationals, min_size=1, max_size=6).map(RationalPolynomial)
+# zero about a third of the time, and finite floats of any size, subnormals too
+sparse_coefficients = st.one_of(
+    st.just(0), rationals, st.floats(allow_nan=False, allow_infinity=False).map(Fraction)
+)
+sparse_polys = st.lists(sparse_coefficients, min_size=1, max_size=12).map(
+    RationalPolynomial
+)
+points = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.floats(),
+)
+
+
+def full_horner(p, x):
+    """Horner over every coefficient, zeros included: the scheme whose
+    bits the evaluation keeps while it skips adding the zeros."""
+    top, *rest = (float(c) for c in reversed(p.coeffs))
+    acc = 0.0 * x + top
+    for c in rest:
+        acc = acc * x + c
+    return acc
 
 
 class TestRationalPolynomial:
@@ -213,6 +234,23 @@ class TestRationalPolynomial:
             assert list(got) == [float(p.coeffs[0])] * 3
             assert type(p(0.5)) is float
         assert type(RationalPolynomial([1, -2, 3])(0.5)) is float
+
+    @given(p=sparse_polys, xs=st.lists(points, min_size=1, max_size=8))
+    @example(p=RationalPolynomial([0]), xs=[-0.0, 0.0, math.inf, math.nan])
+    @example(p=RationalPolynomial([0, 1]), xs=[-0.0, 0.0])
+    @example(p=RationalPolynomial([Fraction(3, 2)]), xs=[-0.0, -math.inf])
+    @example(p=RationalPolynomial([0, 0, 1, 0, -2]), xs=[-0.0, 0.0, -5e-324, math.inf])
+    @settings(max_examples=300)
+    def test_zero_skipping_equals_full_horner(self, p, xs):
+        # .tobytes() compares sign bits (so -0.0 != 0.0) and nan payloads
+        arr = np.array(xs)
+        with np.errstate(all="ignore"):
+            got, expected = p(arr), full_horner(p, arr)
+        assert got.tobytes() == expected.tobytes()
+        for x in xs:
+            got, expected = p(x), full_horner(p, x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @given(p=polys, r=polys, x=rationals)
     @settings(max_examples=80)
