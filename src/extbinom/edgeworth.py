@@ -32,9 +32,11 @@ span 1 (support not contained in any coarser progression a + h*Z with
 h > 1).  The uniform on {0, ..., q} has adjacent support points, so the
 condition holds automatically and is not exposed as a parameter.
 
-Coefficients stay rational until ``approximate_scaled`` evaluates them:
-double-precision Horner times ``gaussian(x)`` at ``x = standardize(n, k,
-q)``, for one k or elementwise, with the same bits, over an array of k.
+Coefficients stay rational until a double-precision Horner evaluates
+them, in two places with the same bits.  ``approximate_scaled`` takes
+it times ``gaussian(x)`` at ``x = standardize(n, k, q)``, for one k or
+elementwise over an array of k; the harness evaluates
+``uniform_correction(v, q).poly`` itself over a sweep's joined x.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ and the approximation's tail there is far below the errors inside: at
 (n, q) = (50, 1) it is 7.2e-13 at k = -1 (3.1e-12 at order 2), against a
 sup error of 2.0e-3 (4.5e-7 at order 2).
 
-The order-independent part of a row's evaluation, over k = 0..n*q//2,
-is memoized in an LRU cache keyed by (n, q) with 64 entries: the exact
-scaled values, the standardized points x and the Gaussian density at x,
-three read-only float arrays, 24 bytes per point, smaller than the
-integer row they come from.  A sweep joins the half rows of all its n
-end to end once per (ns, q) (one entry, 24 bytes per point) and keeps
-the sum of its corrections up to each order (four entries, 8 bytes per
+A sweep's order-independent arrays over k = 0..n*q//2 for each of its
+n are memoized in one LRU entry keyed by (ns, q): the exact scaled
+values, the standardized points x and the Gaussian density at x, three
+read-only float arrays, 24 bytes per point, smaller than the integer
+rows they come from.  The half rows of all n are joined end to end; a
+one-row table is that row's own arrays, with no copy.  The sum of the
+corrections up to each order is kept in four entries (8 bytes per
 point), so a sweep over orders 0, 1, 2, ... converts each row once and
 evaluates each correction polynomial once, over the half rows of all n.
 
@@ -73,32 +73,14 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     return (coefficient(n, k, q) / compute_row(n, q).total) * _scale(n, q)
 
 
-@lru_cache(maxsize=64)
-def _half_row(n: int, q: int):
-    """The order-independent arrays over k = 0..n*q//2, read-only since
-    every caller shares them: the exact scaled values, x = standardize(n,
-    k, q) and gaussian(x)."""
-    import numpy as np
-
-    half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
-    row = compute_row(n, q)
-    denom = row.total
-    exact = np.array([c / denom for c in row.coeffs[:half]]) * _scale(n, q)
-    x = standardize(n, np.arange(half), q)
-    arrays = exact, x, gaussian(x)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|
     and the first k attaining it, evaluated over k = 0..n*q//2 only: the
     row and every correction are even about n*q/2.  The exact values, x
-    and the Gaussian density come from a cache keyed by (n, q), so only
-    the correction polynomials are evaluated per order; every value has
-    the bits of ``approximate_scaled`` at each k.  It is the one-row case
-    of ``rate_sweep``'s evaluation."""
+    and the Gaussian density come from the sweep cache, keyed here by
+    ((n,), q), so only the correction polynomials are evaluated per
+    order; every value has the bits of ``approximate_scaled`` at each k.
+    It is the one-row case of ``rate_sweep``'s evaluation."""
     return _sup_errors((n,), q, order)[0]
 
 
@@ -119,12 +101,21 @@ def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, in
 
 @lru_cache(maxsize=1)
 def _joined(ns: tuple[int, ...], q: int):
-    """The half rows of every n in ns end to end, read-only: the exact
-    values, x and the Gaussian density, and each row's length."""
+    """The order-independent arrays over k = 0..n*q//2 of every n in ns,
+    end to end and read-only since every caller shares them: the exact
+    scaled values, x = standardize(n, k, q) and gaussian(x), and each
+    row's length."""
     import numpy as np
 
-    rows = [_half_row(n, q) for n in ns]
-    arrays = tuple(np.concatenate(a) for a in zip(*rows))
+    rows = []
+    for n in ns:
+        half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
+        row = compute_row(n, q)
+        denom = row.total
+        exact = np.array([c / denom for c in row.coeffs[:half]]) * _scale(n, q)
+        x = standardize(n, np.arange(half), q)
+        rows.append((exact, x, gaussian(x)))
+    arrays = rows[0] if len(rows) == 1 else [np.concatenate(a) for a in zip(*rows)]
     for a in arrays:
         a.flags.writeable = False
     return (*arrays, tuple(len(x) for _, x, _ in rows))

@@ -24,13 +24,12 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom.harness import SweepRecord, _half_row, _ols_loglog
+from extbinom.harness import SweepRecord, _ols_loglog
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def clear_sweep_caches():
-    _half_row.cache_clear()
     harness._joined.cache_clear()
     harness._partial_sum.cache_clear()
 
@@ -89,7 +88,7 @@ class TestUniformError:
                 expected.append((sup, argmax))
             # from a cold cache filled by order 0, then by order 3
             for orders in (range(4), range(3, -1, -1)):
-                _half_row.cache_clear()
+                clear_sweep_caches()
                 for order in orders:
                     result = uniform_error(n, q, order)
                     assert result == expected[order]
@@ -100,17 +99,24 @@ class TestUniformError:
             uniform_error(50, 2, -1)
 
     def test_cached_arrays_are_read_only(self):
-        for a in _half_row(50, 2):
+        # a one-row table is that row's own arrays, not a joined copy
+        uniform_error(50, 2, 2)
+        exact, x, base, _ = harness._joined((50,), 2)
+        sums = harness._partial_sum((50,), 2, 1), harness._partial_sum((50,), 2, 2)
+        for a in (exact, x, base, *sums):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
     def test_sweep_converts_each_row_once(self):
         clear_sweep_caches()
-        for order in range(4):
+        rate_sweep(2, 0, [50, 100, 200, 400])
+        row_calls = compute_row.cache_info()
+        for order in range(1, 4):
             rate_sweep(2, order, [50, 100, 200, 400])
-        info = _half_row.cache_info()
-        # orders 1..3 read the joined rows, not _half_row
-        assert (info.misses, info.hits) == (4, 0)
+        info = harness._joined.cache_info()
+        # orders 1..3 read the joined rows, in _sup_errors and in _partial_sum
+        assert (info.misses, info.hits) == (1, 6)
+        assert compute_row.cache_info() == row_calls
 
 
 def scalar_record(n: int, q: int, order: int) -> SweepRecord:
@@ -206,6 +212,22 @@ class TestCachedSums:
         for a in (exact, x, base, *sums):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_mixed_n_lists_equal_cold(self):
+        # each call evicts the one-entry joined table while _partial_sum
+        # still holds the sums of another n list
+        a, b = (50, 100, 200, 400), (7, 77, 777)
+        calls = (
+            [(rate_sweep, (3, 2, a))]
+            + [(uniform_error, (n, 3, 1)) for n in a]
+            + [(rate_sweep, (3, 3, b)), (rate_sweep, (3, 3, a)), (rate_sweep, (3, 1, a))]
+        )
+        cold = []
+        for f, args in calls:
+            clear_sweep_caches()
+            cold.append(f(*args))
+        clear_sweep_caches()
+        assert [f(*args) for f, args in calls] == cold
 
 
 class TestRateSweep:
