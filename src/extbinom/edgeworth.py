@@ -63,7 +63,7 @@ def gaussian(x):
     if isinstance(x, Real):
         return math.exp(-0.5 * x * x) / SQRT_2PI
     import numpy as np
-    return np.array(list(map(math.exp, (-0.5 * x * x).tolist()))) / SQRT_2PI
+    return np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(x)) / SQRT_2PI
 
 
 @dataclass(frozen=True)

@@ -73,18 +73,21 @@ def compute_row(n: int, q: int) -> BigRow:
     """Exact coefficient row of ``(1 + x + ... + x^q)**n``."""
     _check_nq(n, q)
     # k a_k = (k-1+n) a_{k-1} + (k-Q-nQ) a_{k-Q} + (nQ-n-k+Q+1) a_{k-Q-1},
-    # terms with a negative index dropped; the division by k is exact.
+    # the division by k exact.  Q+1 leading zeros stand in for
+    # a_{-Q-1}..a_{-1}, so a[k+Q+1] = a_k and the one step holds from
+    # k = 1 without a branch.  The factors c1, cQ and cQ1 of a_{k-1},
+    # a_{k-Q} and a_{k-Q-1} are carried from step to step.
     top = n * q
     half = top // 2
     Q = q + 1
-    a = [1]
+    a = [0] * (Q + 1) + [1]
+    c1, cQ, cQ1 = n, 1 - Q - n * Q, n * Q - n + Q
     for k in range(1, half + 1):
-        s = (k - 1 + n) * a[k - 1]
-        if k >= Q:
-            s += (k - Q - n * Q) * a[k - Q]
-            if k > Q:
-                s += (n * Q - n - k + Q + 1) * a[k - Q - 1]
-        a.append(s // k)
+        a.append((c1 * a[-1] + cQ * a[k + 1] + cQ1 * a[k]) // k)
+        c1 += 1
+        cQ += 1
+        cQ1 -= 1
+    del a[: Q + 1]
     # a_k = a_{top-k}: the mirrored half shares the same int objects
     return BigRow(n=n, q=q, coeffs=tuple(a + a[top - half - 1::-1]))
 
@@ -146,19 +149,17 @@ def scaled_probability(n: int, k: int, q: int) -> Fraction:
     the common factor is found against a small power of q+1, not by a
     gcd with (q+1)**n.
     """
-    c = coefficient(n, k, q)
-    total = compute_row(n, q).total
-    if c == 0:
+    row = compute_row(n, q)
+    if not 0 <= k <= n * q:
         return Fraction(0)
+    c, total = row.coeffs[k], row.total
     # Every common factor of c and (q+1)**n is a prime of q+1, so
     # g = gcd(c, (q+1)**m) is the full gcd once c // g shares no prime
     # with q+1; until then double m, up to m = n.
     m = 8
-    while m < n:
-        g = gcd(c, (q + 1) ** m)
-        if gcd(c // g, q + 1) == 1:
-            break
+    while True:
+        g = gcd(c, (q + 1) ** m if m < n else total)
+        reduced = c // g
+        if m >= n or gcd(reduced, q + 1) == 1:
+            return _lowest_terms_fraction(reduced, total // g)
         m *= 2
-    else:
-        g = gcd(c, total)
-    return _lowest_terms_fraction(c // g, total // g)

@@ -37,7 +37,7 @@ from extbinom.edgeworth import (
     standardize,
     uniform_correction,
 )
-from extbinom.exact import _check_nq, coefficient, compute_row
+from extbinom.exact import _check_nq, compute_row
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ def _scale(n: int, q: int) -> float:
 def exact_scaled_value(n: int, k: int, q: int) -> float:
     """sqrt(q*(q+2)*n/12) times the exact point probability, the quantity
     the expansion approximates.  Exact integer ratio, one float conversion."""
-    return (coefficient(n, k, q) / compute_row(n, q).total) * _scale(n, q)
+    row = compute_row(n, q)
+    c = row.coeffs[k] if 0 <= k <= n * q else 0
+    return (c / row.total) * _scale(n, q)
 
 
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
@@ -201,9 +203,9 @@ def central_ratio(n: int, q: int) -> float:
     _check_nq(n, q)
     if (n * q) % 2:
         raise ValueError(f"central index requires n*q even, got n={n}, q={q}")
-    c = coefficient(n, n * q // 2, q)
+    row = compute_row(n, q)
     # exact ratio, one float conversion; its own prefactor keeps the bits that tests pin
-    return (c / compute_row(n, q).total) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
+    return (row.coeffs[n * q // 2] / row.total) * math.sqrt(2 * math.pi * n * q * (q + 2) / 12)
 
 
 def first_order_cross_check(n: int, k: int, q: int) -> tuple[float, float]:

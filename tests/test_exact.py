@@ -77,6 +77,11 @@ class TestComputeRow:
             compute_row(n, q)
 
 
+HALF_NEAR_Q_PLUS_1 = [
+    (n, q) for q in range(1, 9) for n in range(1, 9) if q <= n * q // 2 <= q + 3
+]
+
+
 class TestRecurrenceRow:
     """compute_row (three-term recurrence, half a row mirrored) against
     iter_rows (window sum, the whole row)."""
@@ -94,6 +99,28 @@ class TestRecurrenceRow:
         assert n * q % 2 == 1
         *_, last = iter_rows(q, n)
         assert compute_row(n, q).coeffs == last.coeffs
+
+    @pytest.mark.parametrize("q", range(13, 65))
+    def test_wide_q_short_rows(self, q):
+        # past the hypothesis range of q: at n <= 2 half a row ends before
+        # k = q+1, so every far term comes from the zero padding
+        for n, row in enumerate(iter_rows(q, 4), start=1):
+            assert compute_row(n, q).coeffs == row.coeffs
+
+    @pytest.mark.parametrize("n,q", HALF_NEAR_Q_PLUS_1)
+    def test_first_far_terms(self, n, q):
+        # half = n*q//2 from Q-1 to Q+2 (Q = q+1): rows that end just before,
+        # at and just after the steps where a_{k-Q} and a_{k-Q-1} first
+        # leave the zero padding
+        *_, last = iter_rows(q, n)
+        assert compute_row(n, q).coeffs == last.coeffs
+
+    @pytest.mark.parametrize("n,q", [(333, 3), (334, 3), (51, 7), (200, 2)])
+    def test_mirror_shares_ints(self, n, q):
+        # odd and even n*q: a_{nq-k} is the very int object a_k, not a copy
+        cs = compute_row(n, q).coeffs
+        assert max(cs) > 2**64
+        assert all(cs[k] is cs[n * q - k] for k in range(n * q + 1))
 
     def test_q1_is_binomial(self):
         assert compute_row(1000, 1).coeffs == tuple(comb(1000, k) for k in range(1001))
