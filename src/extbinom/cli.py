@@ -8,11 +8,16 @@ to a JSON array of objects.  Rationals are rendered exactly as "p/q",
 floats with full round-trip precision.  Each ``cmd_*`` returns its text,
 which one renderer, ``_render``, builds in either format (``coeff``
 alone prints its bare value as CSV); ``main`` is the only writer, to
-stdout or to --out.  Exit code 0 on success, 2 on a usage or domain
+--out or to stdout, which it flushes before it returns, and it never
+ends the process.  Exit code 0 on success, 2 on a usage or domain
 error, which includes a float that is not finite (nan, inf) in any
 cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
-runs.
+runs.  A failed write, to --out or to stdout, also exits 2.
+
+The console script and ``python -m extbinom.cli`` both run
+``entrypoint``, which calls ``main`` and then ends the process without
+the interpreter's teardown (see its docstring).
 
 Each subcommand imports, when it runs, only the library functions it
 calls, and ``_render`` only the module of the format it writes, so a
@@ -23,8 +28,11 @@ package or numpy.
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
+import os
 import sys
+from typing import NoReturn
 
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
 # box with Python 3.11: every correction up to order 40 builds in about
@@ -272,7 +280,10 @@ def main(argv: list[str] | None = None) -> int:
 
                 Path(args.out).write_text(text)
             else:
+                # flushed here, so that a failed write is reported below
+                # and not at shutdown
                 sys.stdout.write(text)
+                sys.stdout.flush()
         except (ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -282,9 +293,53 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(old_limit)
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
+def entrypoint() -> NoReturn:
+    """Run ``main`` on the command line, then end the process with its
+    exit code.
+
+    The ``extbinom`` console script and ``python -m extbinom.cli`` both
+    start here.  Leaving by ``SystemExit`` would hand the process to the
+    interpreter's teardown: wait for non-daemon threads, run the
+    ``atexit`` callbacks, flush sys.stdout and sys.stderr, then finalise
+    every module and run a last garbage collection, which reports each
+    file left open with a ``ResourceWarning``.  ``coeff 4 4 2`` spent
+    about 15 ms of its 0.1 s there (2-vCPU box, Python 3.11).
+
+    This function runs the ``atexit`` callbacks and flushes the two
+    streams itself, then ends with ``os._exit``, which Python's docs
+    otherwise reserve for forked children: module finalisation, the last
+    collection and its ``ResourceWarning``s are dropped, and the
+    operating system closes the files and frees the memory.  The CLI
+    starts no thread and leaves no file open.  A flush that fails turns
+    exit code 0 into 120, as in the interpreter's teardown; any other
+    code stands, since ``main`` has already reported the failed write.
+
+    Under a trace or profile function (``python -m cProfile``,
+    ``python -m trace``, a debugger) or when the interpreter is to stay
+    (``python -i``), it leaves by ``SystemExit`` instead, so that the
+    tool still gets its turn at the end.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        code = exc.code
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile uses it
+    if (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or sys.flags.inspect
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    ):
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # what stdout could not take stays buffered
+                code = code or 120
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

@@ -101,6 +101,16 @@ class TestCoeff:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_failed_stdout_flush_exit_2(self):
+        class FullStdout(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        err = io.StringIO()
+        with redirect_stdout(FullStdout()), redirect_stderr(err):
+            assert main(["coeff", "4", "4", "2"]) == 2
+        assert err.getvalue() == "error: [Errno 28] No space left on device\n"
+
     # 10000 * 2 gives a coefficient of 4770 digits, past the default limit
     # of 4300 digits for int-to-str conversion; the CLI runs in a fresh
     # interpreter so that it starts with that limit in force.
@@ -638,3 +648,71 @@ def test_invalid_input_exits_2(template, values, guarded, data, as_json):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert "error: " in err.splitlines()[-1]
+
+
+def readme_cli_examples():
+    """The command lines of the README's CLI block, without `extbinom`."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()]
+
+
+def buffered_env():
+    """The checkout's src on the path and PYTHONUNBUFFERED unset, so that
+    stdout is block-buffered, as when a user runs the command."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, *argv], env=buffered_env(),
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+class TestProcessExit:
+    """The console script and ``python -m extbinom.cli`` end the process
+    through ``entrypoint``, past the interpreter's teardown."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "args", readme_cli_examples(), ids=lambda args: " ".join(args[:2])
+    )
+    def test_same_as_main(self, args, as_json):
+        args = args + ["--json"] if as_json else args
+        code, out, _ = run_captured(args)
+        proc = run_process("-m", "extbinom.cli", *args)
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [("coeff 4 4 2", 0), ("--help", 0), ("qpoly 2 --nu 41", 2), ("nosuch", 2)],
+    )
+    def test_exit_code(self, command, code):
+        proc = run_process("-m", "extbinom.cli", *command.split())
+        assert proc.returncode == code, proc.stderr
+        assert (proc.stdout == b"") == (code == 2)
+
+    def test_atexit_callbacks_run(self):
+        proc = run_process("-c", (
+            "import atexit, sys\n"
+            "from extbinom.cli import entrypoint\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv = ['extbinom', 'coeff', '4', '4', '2']\n"
+            "entrypoint()\n"
+        ))
+        assert (proc.returncode, proc.stdout) == (0, b"19\natexit ran\n")
+
+    def test_profiler_still_reports(self):
+        proc = run_process("-m", "cProfile", "-m", "extbinom.cli", "coeff", "4", "4", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"19\n")
+        assert b"function calls" in proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_write_error_exit_2(self):
+        # block-buffered, the write fails only at the flush
+        with open("/dev/full", "w") as full:
+            proc = run_process("-m", "extbinom.cli", "coeff", "4", "4", "2", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
