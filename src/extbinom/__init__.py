@@ -16,10 +16,11 @@ _EXPORTS = {
     "cumulants": ("CumulantVector", "cumulant", "cumulants_from_moments",
                   "cumulants_up_to"),
     "edgeworth": ("GaussianPolynomial", "approximate_scaled",
-                  "correction_from_cumulants", "standardize", "uniform_correction"),
+                  "correction_from_cumulants", "exact_scaled_value", "standardize",
+                  "uniform_correction"),
     "exact": ("BigRow", "coefficient", "composition_count", "compute_row",
               "iter_rows", "scaled_probability"),
-    "harness": ("SweepRecord", "SweepReport", "central_ratio", "exact_scaled_value",
+    "harness": ("SweepRecord", "SweepReport", "central_ratio",
                 "first_order_cross_check", "rate_sweep", "uniform_error"),
     "special": ("RationalPolynomial", "bernoulli", "enumerate_partition_solutions",
                 "hermite"),

@@ -1,0 +1,62 @@
+"""The three-term recurrence of the rows of ``(1 + x + ... + x^q)**n``.
+
+The holonomic series ``((1 - x^Q) / (1 - x))**n``, Q = q + 1, satisfies
+
+    k a_k = (k-1+n) a_{k-1} + (k-Q-nQ) a_{k-Q} + (nQ-n-k+Q+1) a_{k-Q-1}
+
+with the division by k exact (J.C.P. Miller's recurrence for powers of
+a series, Knuth TAOCP Vol. 2 section 4.7), so a_0..a_stop cost O(stop)
+big-integer steps.  ``prefix`` is the one loop; ``row`` mirrors its
+first half into a whole row, and ``coefficient`` reads one value from
+the shorter side of the row's symmetry, a_k = a_{nq-k}.
+
+This module imports nothing, so the CLI's one-shot ``coeff``, ``row``
+and ``expand`` read the recurrence without loading ``extbinom.exact``,
+whose ``compute_row`` caches each row as a ``BigRow``.  Repeated
+queries against one row belong there.
+"""
+
+
+def _check_nq(n: int, q: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if q < 1:
+        raise ValueError(f"q must be a positive integer, got {q}")
+
+
+def prefix(n: int, q: int, stop: int) -> list[int]:
+    """a_0..a_stop of the row for (n, q), as a list of stop + 1 ints."""
+    # Q+1 leading zeros stand in for a_{-Q-1}..a_{-1}, so a[k+Q+1] = a_k
+    # and the one step holds from k = 1 without a branch.  The factors
+    # c1, cQ and cQ1 of a_{k-1}, a_{k-Q} and a_{k-Q-1} are carried from
+    # step to step.
+    Q = q + 1
+    a = [0] * (Q + 1) + [1]
+    c1, cQ, cQ1 = n, 1 - Q - n * Q, n * Q - n + Q
+    for k in range(1, stop + 1):
+        a.append((c1 * a[-1] + cQ * a[k + 1] + cQ1 * a[k]) // k)
+        c1 += 1
+        cQ += 1
+        cQ1 -= 1
+    del a[: Q + 1]
+    return a
+
+
+def row(n: int, q: int) -> tuple[int, ...]:
+    """The whole row a_0..a_{nq}: its first half and the mirror of it,
+    which shares the same int objects."""
+    _check_nq(n, q)
+    top = n * q
+    half = top // 2
+    a = prefix(n, q, half)
+    return tuple(a + a[top - half - 1::-1])
+
+
+def coefficient(n: int, k: int, q: int) -> int:
+    """a_k of the row for (n, q), zero for k outside 0..n*q, from the
+    min(k, n*q - k) + 1 values up to it and no more."""
+    _check_nq(n, q)
+    top = n * q
+    if not 0 <= k <= top:
+        return 0
+    return prefix(n, q, min(k, top - k))[-1]

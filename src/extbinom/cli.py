@@ -13,7 +13,8 @@ ends the process.  Exit code 0 on success, 2 on a usage or domain
 error, which includes a float that is not finite (nan, inf) in any
 cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
-runs.  A failed write, to --out or to stdout, also exits 2.
+runs.  A failed write, to --out or to stdout, or a closed stdout, also
+exits 2.
 
 The console script and ``python -m extbinom.cli`` both run
 ``entrypoint``, which calls ``main`` and then ends the process without
@@ -22,7 +23,10 @@ the interpreter's teardown (see its docstring).
 Each subcommand imports, when it runs, only the library functions it
 calls, and ``_render`` only the module of the format it writes, so a
 short command such as ``coeff`` starts without loading the rest of the
-package or numpy.
+package or numpy.  ``coeff``, ``row`` and ``expand`` are one-shot: they
+read the recurrence kernel ``extbinom._recurrence`` directly and build
+no cached row, so ``coeff`` and ``row`` load neither ``extbinom.exact``
+nor its ``dataclasses`` and ``fractions``.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> 
 
 
 def cmd_coeff(args) -> str:
-    from extbinom.exact import coefficient
+    from extbinom._recurrence import coefficient
 
     value = coefficient(args.n, args.k, args.q)
     row = {"n": args.n, "k": args.k, "q": args.q, "coefficient": value}
@@ -84,20 +88,20 @@ def cmd_coeff(args) -> str:
 
 
 def cmd_row(args) -> str:
-    from extbinom.exact import compute_row
+    from extbinom._recurrence import row
 
-    coeffs = compute_row(args.n, args.q).coeffs
+    coeffs = row(args.n, args.q)
     return _render(args, [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)])
 
 
 def cmd_expand(args) -> str:
     from extbinom.edgeworth import (
         approximate_scaled,
+        exact_scaled_value,
         gaussian,
         standardize,
         uniform_correction,
     )
-    from extbinom.harness import exact_scaled_value
 
     n, k, q, order = args.n, args.k, args.q, args.order
     exact = exact_scaled_value(n, k, q)
@@ -258,6 +262,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush text to stdout, so that a failed write raises
+    OSError here and not at shutdown.  A closed stdout (None) counts as a
+    failed write.  After a failure, stdout's file descriptor, where it
+    has one, is pointed at the null device: the bytes left in its buffer
+    then go nowhere at the interpreter's last flush, which would fail
+    again (the ``os.dup2`` idiom of the Python docs' note on SIGPIPE)."""
+    stdout = sys.stdout
+    if stdout is None:
+        raise OSError("stdout is closed")
+    try:
+        stdout.write(text)
+        stdout.flush()
+    except OSError:
+        try:
+            fd = stdout.fileno()
+        except (OSError, ValueError):  # an in-memory stream has no descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     # integers are printed exactly at any size, past the interpreter's
     # digit limit for int-to-str conversion, where it has one; the
@@ -280,12 +309,10 @@ def main(argv: list[str] | None = None) -> int:
 
                 Path(args.out).write_text(text)
             else:
-                # flushed here, so that a failed write is reported below
-                # and not at shutdown
-                sys.stdout.write(text)
-                sys.stdout.flush()
+                _write_stdout(text)
         except (ValueError, OverflowError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            if sys.stderr is not None:  # print(file=None) would write to stdout
+                print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
     finally:

@@ -37,6 +37,9 @@ them, in two places with the same bits.  ``approximate_scaled`` takes
 it times ``gaussian(x)`` at ``x = standardize(n, k, q)``, for one k or
 elementwise over an array of k; the harness evaluates
 ``uniform_correction(v, q).poly`` itself over a sweep's joined x.
+``exact_scaled_value`` is the exact side of one comparison, the scaled
+coefficient that ``approximate_scaled`` approximates, read from the
+recurrence kernel without building a row.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from math import factorial, perm
 from numbers import Rational, Real
 
 from extbinom.cumulants import CumulantVector, cumulant
-from extbinom.exact import _check_nq
+from extbinom._recurrence import _check_nq
+from extbinom._recurrence import coefficient as _coefficient
 from extbinom.special import RationalPolynomial, _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -87,6 +91,22 @@ def standardize(n: int, k: int, q: int) -> float:
     a, b = cumulant(1, q).as_integer_ratio()
     c, d = cumulant(2, q).as_integer_ratio()
     return (b * k - n * a) / b * math.sqrt(d / (c * n))
+
+
+def _scale(n: int, q: int) -> float:
+    """sqrt(n * cumulant(2, q)), rounded once: the standard deviation of the
+    n-fold uniform sum, which turns a probability into a density height."""
+    return math.sqrt(cumulant(2, q) * n)
+
+
+def exact_scaled_value(n: int, k: int, q: int) -> float:
+    """sqrt(q*(q+2)*n/12) times the exact point probability, the quantity
+    the expansion approximates.  Exact integer ratio, one float conversion.
+
+    One-shot: the coefficient comes from the recurrence up to k (or its
+    mirror) and no row is kept, so for many k of one row read
+    ``compute_row(n, q)`` instead."""
+    return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
 def _over_lcm(fractions: list[Fraction]) -> tuple[int, list[int]]:

@@ -7,17 +7,21 @@ of n integers from {0, ..., q}; dividing by (q+1)**n turns a row into
 the point probabilities of a sum of n independent uniforms on
 {0, ..., q}.
 
-``compute_row`` builds a row from the three-term recurrence that the
-holonomic series ``((1 - x^Q) / (1 - x))**n``, Q = q + 1, satisfies
-(J.C.P. Miller's recurrence for powers of a series, Knuth TAOCP Vol. 2
-section 4.7), so a row costs O(n * q) big-integer steps.  It builds only
-the first half and mirrors it, since rows are symmetric.  ``iter_rows``
-keeps the running window sum (multiply by the base polynomial), an
-independent route that costs O(n * q) additions per row.  All functions
-are pure; ``compute_row`` memoizes through ``functools.lru_cache``,
-which is thread-safe and returns immutable rows.  Each row carries its
-sum ``total`` = (q+1)**n, computed on first use; ``scaled_probability``
-divides by it in lowest terms without a gcd over the full pair.
+``compute_row`` builds a row from the three-term recurrence in
+``extbinom._recurrence`` (J.C.P. Miller's recurrence for powers of a
+series, Knuth TAOCP Vol. 2 section 4.7), so a row costs O(n * q)
+big-integer steps; it builds only the first half and mirrors it, since
+rows are symmetric.  ``iter_rows`` keeps the running window sum
+(multiply by the base polynomial), an independent route that costs
+O(n * q) additions per row.  All functions are pure; ``compute_row``
+memoizes through ``functools.lru_cache``, which is thread-safe and
+returns immutable rows, so the point queries here (``coefficient``,
+``scaled_probability``, ``composition_count``) read a cached row.  A
+single query is cheaper from ``_recurrence.coefficient``, which computes
+no value past the one it returns; the CLI's ``coeff`` uses it.  Each
+row carries its sum ``total`` = (q+1)**n, computed on first use;
+``scaled_probability`` divides by it in lowest terms without a gcd over
+the full pair.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator
+
+from extbinom._recurrence import _check_nq
+from extbinom._recurrence import row as _row
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,6 @@ class BigRow:
         return (self.q + 1) ** self.n
 
 
-def _check_nq(n: int, q: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
-
-
 def _window_step(row: list[int], q: int) -> list[int]:
     # multiply by 1 + x + ... + x^q: out[k] = sum(row[k-q : k+1])
     out = []
@@ -71,25 +71,7 @@ def _window_step(row: list[int], q: int) -> list[int]:
 @lru_cache(maxsize=64)
 def compute_row(n: int, q: int) -> BigRow:
     """Exact coefficient row of ``(1 + x + ... + x^q)**n``."""
-    _check_nq(n, q)
-    # k a_k = (k-1+n) a_{k-1} + (k-Q-nQ) a_{k-Q} + (nQ-n-k+Q+1) a_{k-Q-1},
-    # the division by k exact.  Q+1 leading zeros stand in for
-    # a_{-Q-1}..a_{-1}, so a[k+Q+1] = a_k and the one step holds from
-    # k = 1 without a branch.  The factors c1, cQ and cQ1 of a_{k-1},
-    # a_{k-Q} and a_{k-Q-1} are carried from step to step.
-    top = n * q
-    half = top // 2
-    Q = q + 1
-    a = [0] * (Q + 1) + [1]
-    c1, cQ, cQ1 = n, 1 - Q - n * Q, n * Q - n + Q
-    for k in range(1, half + 1):
-        a.append((c1 * a[-1] + cQ * a[k + 1] + cQ1 * a[k]) // k)
-        c1 += 1
-        cQ += 1
-        cQ1 -= 1
-    del a[: Q + 1]
-    # a_k = a_{top-k}: the mirrored half shares the same int objects
-    return BigRow(n=n, q=q, coeffs=tuple(a + a[top - half - 1::-1]))
+    return BigRow(n=n, q=q, coeffs=_row(n, q))
 
 
 def iter_rows(q: int, n_max: int) -> Iterator[BigRow]:

@@ -30,14 +30,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from extbinom.cumulants import cumulant
-from extbinom.edgeworth import (
+from extbinom._recurrence import _check_nq
+from extbinom.edgeworth import (  # exact_scaled_value is re-exported
+    _scale,
     approximate_scaled,
+    exact_scaled_value,
     gaussian,
     standardize,
     uniform_correction,
 )
-from extbinom.exact import _check_nq, compute_row
+from extbinom.exact import compute_row
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,6 @@ class SweepReport:
     records: tuple[SweepRecord, ...]
     fitted_slope: float
     slope_stderr: float
-
-
-def _scale(n: int, q: int) -> float:
-    """sqrt(n * cumulant(2, q)), rounded once: the standard deviation of the
-    n-fold uniform sum, which turns a probability into a density height."""
-    return math.sqrt(cumulant(2, q) * n)
-
-
-def exact_scaled_value(n: int, k: int, q: int) -> float:
-    """sqrt(q*(q+2)*n/12) times the exact point probability, the quantity
-    the expansion approximates.  Exact integer ratio, one float conversion."""
-    row = compute_row(n, q)
-    c = row.coeffs[k] if 0 <= k <= n * q else 0
-    return (c / row.total) * _scale(n, q)
 
 
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extbinom import coefficient, cumulants, edgeworth, harness
+from extbinom import coefficient, compute_row, cumulants, edgeworth, harness
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -110,6 +111,16 @@ class TestCoeff:
         with redirect_stdout(FullStdout()), redirect_stderr(err):
             assert main(["coeff", "4", "4", "2"]) == 2
         assert err.getvalue() == "error: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_exit_2(self):
+        err = io.StringIO()
+        with redirect_stdout(None), redirect_stderr(err):
+            assert main(["coeff", "4", "4", "2"]) == 2
+        assert err.getvalue() == "error: stdout is closed\n"
+
+    def test_closed_stdout_and_stderr_exit_2(self):
+        with redirect_stdout(None), redirect_stderr(None):
+            assert main(["coeff", "4", "4", "2"]) == 2
 
     # 10000 * 2 gives a coefficient of 4770 digits, past the default limit
     # of 4300 digits for int-to-str conversion; the CLI runs in a fresh
@@ -296,8 +307,8 @@ class WorkStarted(Exception):
 # the module that defines them: each cmd_* imports them from there when
 # it runs, so a patch there is what the command calls
 WORK = {
-    harness: ("exact_scaled_value", "rate_sweep"),
-    edgeworth: ("approximate_scaled", "uniform_correction"),
+    harness: ("rate_sweep",),
+    edgeworth: ("approximate_scaled", "exact_scaled_value", "uniform_correction"),
     cumulants: ("cumulants_up_to",),
 }
 
@@ -428,21 +439,26 @@ def test_scalar_commands_do_not_import_numpy(argv):
 
 LIBRARY = {f"extbinom.{name}" for name in
            ("cumulants", "edgeworth", "exact", "harness", "special")}
+# coeff and row read the recurrence directly: no cached BigRow, so neither
+# the dataclass machinery nor fractions
+ONE_SHOT = LIBRARY | {"dataclasses", "fractions"}
 
 
 @pytest.mark.parametrize(
     "command,absent",
     [
-        ("coeff 4 4 2", LIBRARY - {"extbinom.exact"} | {"json", "csv"}),
-        ("coeff 4 4 2 --json", LIBRARY - {"extbinom.exact"}),
-        ("row 2 2", LIBRARY - {"extbinom.exact"}),
-        ("row 2 2 --json", LIBRARY - {"extbinom.exact"}),
+        ("coeff 4 4 2", ONE_SHOT | {"json", "csv"}),
+        ("coeff 4 4 2 --json", ONE_SHOT),
+        ("row 2 2", ONE_SHOT),
+        ("row 2 2 --json", ONE_SHOT),
+        ("expand 100 90 2 --order 1 --terms", {"extbinom.exact", "extbinom.harness"}),
         ("cumulants 2 --max-order 4 --oracle",
          {"extbinom.exact", "extbinom.edgeworth", "extbinom.harness"}),
-        ("qpoly 2 --nu 1", {"extbinom.harness"}),
+        ("qpoly 2 --nu 1", {"extbinom.exact", "extbinom.harness"}),
         ("sweep 2 --order 1 --n-list 50,100,200", set()),
     ],
-    ids=["coeff", "coeff-json", "row", "row-json", "cumulants", "qpoly", "sweep"],
+    ids=["coeff", "coeff-json", "row", "row-json", "expand", "cumulants", "qpoly",
+         "sweep"],
 )
 def test_command_loads_only_what_it_runs(command, absent):
     # the rest of the library is start-up time a command does not need;
@@ -456,6 +472,17 @@ def test_command_loads_only_what_it_runs(command, absent):
         "assert not loaded, loaded\n"
         f"assert ('numpy' in sys.modules) == {argv[0] == 'sweep'}, 'numpy'\n"
     ))
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["coeff 255 205 3", "coeff 4 4 2 --json", "coeff 3 99 2", "row 30 2",
+     "row 7 3 --json", "expand 100 90 2 --order 1 --terms", "expand 60 10 3"],
+)
+def test_one_shot_commands_leave_the_row_cache_alone(capsys, command):
+    before = compute_row.cache_info()
+    assert run(capsys, *command.split())[0] == 0
+    assert compute_row.cache_info() == before
 
 
 def test_fit_does_not_import_numpy():
@@ -708,6 +735,39 @@ class TestProcessExit:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(b"19\n")
         assert b"function calls" in proc.stdout
+
+    def test_closed_stdout_exit_2(self):
+        command = f"{shlex.quote(sys.executable)} -m extbinom.cli coeff 4 4 2 >&-"
+        proc = subprocess.run(["sh", "-c", command], env=buffered_env(),
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: stdout is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_error_under_a_trace_function_exit_2(self):
+        # entrypoint leaves by SystemExit here; the interpreter's last flush
+        # must not fail again on the bytes left in stdout's buffer
+        with open("/dev/full", "w") as full:
+            proc = run_process("-c", (
+                "import runpy, sys\n"
+                "sys.settrace(lambda *args: None)\n"
+                "sys.argv = ['extbinom', 'coeff', '4', '4', '2']\n"
+                "runpy.run_module('extbinom.cli', run_name='__main__')\n"
+            ), stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_error_under_trace_module(self, tmp_path):
+        # python -m trace discards its program's exit status (its main
+        # passes on SystemExit), so the code is trace's own 0, not 120
+        with open("/dev/full", "w") as full:
+            proc = run_process(
+                "-m", "trace", "--count", "--coverdir", str(tmp_path),
+                "--module", "extbinom.cli", "coeff", "4", "4", "2", stdout=full,
+            )
+        assert proc.returncode == 0
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_stdout_write_error_exit_2(self):
