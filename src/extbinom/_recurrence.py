@@ -10,14 +10,20 @@ big-integer steps.  ``prefix`` is the one loop; ``row`` mirrors its
 first half into a whole row, and ``coefficient`` reads one value from
 the shorter side of the row's symmetry, a_k = a_{nq-k}.
 
-This module imports nothing, so the CLI's one-shot ``coeff``, ``row``
-and ``expand`` read the recurrence without loading ``extbinom.exact``,
-whose ``compute_row`` caches each row as a ``BigRow``.  Repeated
-queries against one row belong there.
+This module imports only ``operator``, which the interpreter has loaded
+at start-up, so the CLI's one-shot ``coeff``, ``row`` and ``expand``
+read the recurrence without loading ``extbinom.exact``, whose
+``compute_row`` caches each row as a ``BigRow``.  Repeated queries
+against one row belong there.
 """
+
+from operator import index
 
 
 def _check_nq(n: int, q: int) -> None:
+    # Callers that build a value first take n and q through
+    # operator.index: a numpy integer becomes an int, since int64
+    # arithmetic would wrap, and a float is refused with TypeError.
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if q < 1:
@@ -45,6 +51,7 @@ def prefix(n: int, q: int, stop: int) -> list[int]:
 def row(n: int, q: int) -> tuple[int, ...]:
     """The whole row a_0..a_{nq}: its first half and the mirror of it,
     which shares the same int objects."""
+    n, q = index(n), index(q)
     _check_nq(n, q)
     top = n * q
     half = top // 2
@@ -55,6 +62,7 @@ def row(n: int, q: int) -> tuple[int, ...]:
 def coefficient(n: int, k: int, q: int) -> int:
     """a_k of the row for (n, q), zero for k outside 0..n*q, from the
     min(k, n*q - k) + 1 values up to it and no more."""
+    n, q = index(n), index(q)
     _check_nq(n, q)
     top = n * q
     if not 0 <= k <= top:

@@ -14,7 +14,7 @@ error, which includes a float that is not finite (nan, inf) in any
 cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
 runs.  A failed write, to --out or to stdout, or a closed stdout, also
-exits 2.
+exits 2, and so does an error whose ``error:`` line stderr cannot take.
 
 The console script and ``python -m extbinom.cli`` both run
 ``entrypoint``, which calls ``main`` and then ends the process without
@@ -262,22 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write and flush text to stdout, so that a failed write raises
-    OSError here and not at shutdown.  A closed stdout (None) counts as a
-    failed write.  After a failure, stdout's file descriptor, where it
-    has one, is pointed at the null device: the bytes left in its buffer
-    then go nowhere at the interpreter's last flush, which would fail
-    again (the ``os.dup2`` idiom of the Python docs' note on SIGPIPE)."""
-    stdout = sys.stdout
-    if stdout is None:
-        raise OSError("stdout is closed")
+def _write(name: str, text: str) -> None:
+    """Write and flush text to sys.stdout or sys.stderr, by name, so that
+    a failed write raises OSError here and not at shutdown.  A closed
+    stream (None) counts as a failed write.  After a failure, the
+    stream's file descriptor, where it has one, is pointed at the null
+    device: the bytes left in its buffer then go nowhere at the last
+    flush, by ``entrypoint`` or the interpreter, which would fail again
+    (the ``os.dup2`` idiom of the Python docs' note on SIGPIPE)."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
     try:
-        stdout.write(text)
-        stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError:
         try:
-            fd = stdout.fileno()
+            fd = stream.fileno()
         except (OSError, ValueError):  # an in-memory stream has no descriptor
             fd = None
         if fd is not None:
@@ -309,10 +310,12 @@ def main(argv: list[str] | None = None) -> int:
 
                 Path(args.out).write_text(text)
             else:
-                _write_stdout(text)
+                _write("stdout", text)
         except (ValueError, OverflowError, OSError) as exc:
-            if sys.stderr is not None:  # print(file=None) would write to stdout
-                print(f"error: {exc}", file=sys.stderr)
+            try:
+                _write("stderr", f"error: {exc}\n")
+            except OSError:  # nothing is left to report a failed stderr to
+                pass
             return 2
         return 0
     finally:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, index, mul
 
 from extbinom.special import bernoulli
 
@@ -40,18 +40,22 @@ class CumulantVector:
         return len(self.gammas)
 
 
-def _check_kq(k: int, q: int) -> None:
+def _check_kq(k: int, q: int) -> tuple[int, int]:
+    """k and q as Python ints (a numpy integer's powers would wrap), each
+    at least 1."""
+    k, q = index(k), index(q)
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
+    return k, q
 
 
 @lru_cache(maxsize=1024, typed=True)
 def cumulant(k: int, q: int) -> Fraction:
     """Cumulant gamma_k of the uniform distribution on {0, ..., q}; memoized
     per argument type, so a float q fails as it would uncached."""
-    _check_kq(k, q)
+    k, q = _check_kq(k, q)
     if k == 1:
         return Fraction(q, 2)
     if k % 2 == 1:
@@ -63,7 +67,7 @@ def cumulant(k: int, q: int) -> Fraction:
 
 def cumulants_up_to(order: int, q: int) -> CumulantVector:
     """Cumulants gamma_1..gamma_order of the uniform on {0, ..., q}."""
-    _check_kq(order, q)
+    order, q = _check_kq(order, q)
     return CumulantVector(gammas=tuple(cumulant(k, q) for k in range(1, order + 1)))
 
 
@@ -83,7 +87,7 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     and each cumulant is returned as Fraction(Gamma_k, Q**k).  The
     binomials come from Pascal rows carried from one k to the next.
     """
-    _check_kq(order, q)
+    order, q = _check_kq(order, q)
     big_q = q + 1
     powers = [1, big_q]  # powers[j] = Q**j
     sums = [big_q]  # sums[j] = S_j, each added by Pascal's identity

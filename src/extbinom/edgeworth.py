@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 from numbers import Rational, Real
+from operator import index
 
 from extbinom.cumulants import CumulantVector, cumulant
 from extbinom._recurrence import _check_nq
@@ -87,6 +88,7 @@ def standardize(n: int, k: int, q: int) -> float:
     """Lattice point k less the mean n*a/b, over the standard deviation
     sqrt(n*c/d) of the n-fold uniform sum, with a/b = ``cumulant(1, q)`` and
     c/d = ``cumulant(2, q)`` reduced; exactly 0.0 at the central point."""
+    n, q = index(n), index(q)
     _check_nq(n, q)
     a, b = cumulant(1, q).as_integer_ratio()
     c, d = cumulant(2, q).as_integer_ratio()
@@ -106,6 +108,7 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     One-shot: the coefficient comes from the recurrence up to k (or its
     mirror) and no row is kept, so for many k of one row read
     ``compute_row(n, q)`` instead."""
+    n, q = index(n), index(q)
     return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
@@ -252,6 +255,7 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    n, q = index(n), index(q)
     x = standardize(n, k, q)
     corr = 0.0
     for v in range(1, order + 1):

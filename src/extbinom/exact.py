@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import index
 from typing import Iterator
 
 from extbinom._recurrence import _check_nq
@@ -70,7 +71,12 @@ def _window_step(row: list[int], q: int) -> list[int]:
 
 @lru_cache(maxsize=64)
 def compute_row(n: int, q: int) -> BigRow:
-    """Exact coefficient row of ``(1 + x + ... + x^q)**n``."""
+    """Exact coefficient row of ``(1 + x + ... + x^q)**n``.
+
+    The row is built from n and q as Python ints, so a numpy integer
+    key, which hashes and compares equal to its int, caches the same
+    row."""
+    n, q = index(n), index(q)
     return BigRow(n=n, q=q, coeffs=_row(n, q))
 
 
@@ -83,6 +89,7 @@ def iter_rows(q: int, n_max: int) -> Iterator[BigRow]:
     when every row is needed or as a route independent of the
     recurrence.
     """
+    n_max, q = index(n_max), index(q)
     _check_nq(n_max, q)
     row = [1] * (q + 1)
     yield BigRow(n=1, q=q, coeffs=tuple(row))
@@ -97,8 +104,10 @@ def coefficient(n: int, k: int, q: int) -> int:
 
     Reduces to the ordinary binomial coefficient C(n, k) at q = 1.
     """
-    coeffs = compute_row(n, q).coeffs
-    return coeffs[k] if 0 <= k < len(coeffs) else 0
+    if not 0 <= k <= n * q:  # no row is built for a zero outside it
+        _check_nq(index(n), index(q))
+        return 0
+    return compute_row(n, q).coeffs[k]
 
 
 def composition_count(k: int, n: int, q: int) -> int:
@@ -131,17 +140,20 @@ def scaled_probability(n: int, k: int, q: int) -> Fraction:
     the common factor is found against a small power of q+1, not by a
     gcd with (q+1)**n.
     """
-    row = compute_row(n, q)
-    if not 0 <= k <= n * q:
+    if not 0 <= k <= n * q:  # no row is built for a zero outside it
+        _check_nq(index(n), index(q))
         return Fraction(0)
+    row = compute_row(n, q)
+    # the row's own n and q, which are ints even when the caller's are not
+    n, base = row.n, row.q + 1
     c, total = row.coeffs[k], row.total
     # Every common factor of c and (q+1)**n is a prime of q+1, so
     # g = gcd(c, (q+1)**m) is the full gcd once c // g shares no prime
     # with q+1; until then double m, up to m = n.
     m = 8
     while True:
-        g = gcd(c, (q + 1) ** m if m < n else total)
+        g = gcd(c, base**m if m < n else total)
         reduced = c // g
-        if m >= n or gcd(reduced, q + 1) == 1:
+        if m >= n or gcd(reduced, base) == 1:
             return _lowest_terms_fraction(reduced, total // g)
         m *= 2

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 from extbinom._recurrence import _check_nq
@@ -71,7 +72,7 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     ((n,), q), so only the correction polynomials are evaluated per
     order; every value has the bits of ``approximate_scaled`` at each k.
     It is the one-row case of ``rate_sweep``'s evaluation."""
-    return _sup_errors((n,), q, order)[0]
+    return _sup_errors((index(n),), index(q), order)[0]
 
 
 def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, int]]:
@@ -136,7 +137,7 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     slope is -(order + 1), the power of the first dropped correction
     term.  Requires at least 3 strictly increasing n values.
     """
-    ns = tuple(n_list)
+    ns, q = tuple(map(index, n_list)), index(q)  # ints: a numpy int64 n**v wraps
     if len(ns) < 3:
         raise ValueError(f"need at least 3 values of n, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -207,6 +208,7 @@ def first_order_cross_check(n: int, k: int, q: int) -> tuple[float, float]:
     times the Gaussian density.  Any gap beyond float rounding signals
     an assembly bug; the tests require agreement to 1e-12.
     """
+    n, q = index(n), index(q)
     series = approximate_scaled(n, k, q, order=1)
     x = standardize(n, k, q)
     factor = 1.0 - ((q + 1) ** 4 - 1) * (x**4 - 6 * x * x + 3) / (

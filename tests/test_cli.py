@@ -19,16 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extbinom
 from extbinom import coefficient, compute_row, cumulants, edgeworth, harness
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 ROOT = Path(__file__).resolve().parents[1]
+# the directory holding the extbinom under test: the checkout's src, or
+# site-packages when the suite runs against an installed package
+PACKAGE_PARENT = Path(extbinom.__file__).resolve().parents[1]
 
 
 def run_python(*argv):
-    """Run a fresh interpreter with the checkout's src on the path."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    """Run a fresh interpreter that imports the extbinom under test."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)}
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -377,11 +381,12 @@ class TestOut:
             "expand 100 90 2 --order 2",
             "expand 50 30 1 --order 1 --terms",
             "sweep 2 --order 1 --n-list 20,40,80",
+            "sweep 2 --order 1 --n-list 50,100,200",
             "cumulants 2 --max-order 4 --oracle",
             "qpoly 2 --nu 1",
         ],
-        ids=["coeff", "row", "expand", "expand-terms", "sweep", "cumulants-oracle",
-             "qpoly"],
+        ids=["coeff", "row", "expand", "expand-terms", "sweep", "sweep-50-100-200",
+             "cumulants-oracle", "qpoly"],
     )
     def test_same_bytes_as_stdout(self, capsys, tmp_path, command, as_json):
         argv = command.split() + (["--json"] if as_json else [])
@@ -685,9 +690,9 @@ def readme_cli_examples():
 
 
 def buffered_env():
-    """The checkout's src on the path and PYTHONUNBUFFERED unset, so that
-    stdout is block-buffered, as when a user runs the command."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    """The extbinom under test on the path and PYTHONUNBUFFERED unset, so
+    that stdout is block-buffered, as when a user runs the command."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)}
     env.pop("PYTHONUNBUFFERED", None)
     return env
 
@@ -695,6 +700,40 @@ def buffered_env():
 def run_process(*argv, stdout=subprocess.PIPE):
     return subprocess.run([sys.executable, *argv], env=buffered_env(),
                           stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_fresh_interpreters_import_the_package_under_test():
+    code = "import extbinom; print(extbinom.__file__)"
+    for out in (run_python("-c", code).stdout, run_process("-c", code).stdout.decode()):
+        assert Path(out.strip()).resolve() == Path(extbinom.__file__).resolve()
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        ("row 4 2",
+         b"k,coefficient\n0,1\n1,4\n2,10\n3,16\n4,19\n5,16\n6,10\n7,4\n8,1\n"),
+        ("qpoly 2 --nu 1", b"power,coefficient\n0,-3/16\n2,3/8\n4,-1/16\n"),
+        ("qpoly 2 --nu 2",
+         b"power,coefficient\n0,1/512\n2,-27/128\n4,53/256\n6,-79/1920\n8,1/512\n"),
+        ("cumulants 2 --max-order 4 --oracle",
+         b"k,gamma,oracle_gamma,match\n1,1,1,true\n2,2/3,2/3,true\n3,0,0,true\n"
+         b"4,-2/3,-2/3,true\n"),
+        # x takes only correctly rounded IEEE steps, so its bytes do not depend on libm
+        ("expand 50 30 1 --order 1 --terms", b"x,1.414213562373095\n"),
+        ("expand 100 90 2 --order 1 --terms", b"x,-1.224744871391589\n"),
+        # C(20001, 2): with k <= q every composition counts
+        ("coeff 20000 2 2", b"200010000\n"),
+    ],
+    ids=["row", "qpoly-nu1", "qpoly-nu2", "cumulants-oracle", "expand-x-odd",
+         "expand-x-even", "coeff-far"],
+)
+def test_stdout_bytes(command, expected):
+    proc = run_process("-m", "extbinom.cli", *command.split())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines(keepends=True)
+    # of expand --terms, the x line only, after the header
+    assert (lines[1] if "--terms" in command else proc.stdout) == expected
 
 
 class TestProcessExit:
@@ -776,3 +815,26 @@ class TestProcessExit:
             proc = run_process("-m", "extbinom.cli", "coeff", "4", "4", "2", stdout=full)
         assert proc.returncode == 2
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("mode", ["buffered", "unbuffered", "traced"])
+    @pytest.mark.parametrize("command", ["coeff 0 0 2", "qpoly 2 --nu 41"])
+    def test_stderr_write_error_exit_2(self, command, mode):
+        # the error line cannot be reported, and the last flush of stderr,
+        # by entrypoint or by the interpreter, must not fail again
+        env = buffered_env()
+        if mode == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        if mode == "traced":
+            argv = ["-c", (
+                "import runpy, sys\n"
+                "sys.settrace(lambda *args: None)\n"
+                "sys.argv = ['extbinom', *sys.argv[1:]]\n"
+                "runpy.run_module('extbinom.cli', run_name='__main__')\n"
+            )]
+        else:
+            argv = ["-m", "extbinom.cli"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *argv, *command.split()], env=env,
+                                  stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, b"")

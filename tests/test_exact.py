@@ -11,16 +11,27 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extbinom import (
+    _recurrence,
+    approximate_scaled,
+    central_ratio,
     coefficient,
     composition_count,
     compute_row,
+    cumulant,
+    cumulants_from_moments,
+    exact_scaled_value,
+    harness,
     iter_rows,
+    rate_sweep,
     scaled_probability,
+    standardize,
+    uniform_correction,
 )
 
 
@@ -246,3 +257,95 @@ class TestScaledProbability:
             scaled_probability(0, 0, 2)
         with pytest.raises(ValueError):
             scaled_probability(2, 0, 0)
+
+
+class TestOutsideTheSupport:
+    """A point query outside 0..n*q is zero without building a row."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda: coefficient(20000, -1, 2),
+            lambda: coefficient(3, 13, 4),
+            lambda: scaled_probability(15000, 10**6, 2),
+            lambda: composition_count(5, 12000, 3),
+        ],
+        ids=["coefficient-below", "coefficient-above", "scaled_probability",
+             "composition_count"],
+    )
+    def test_zero_and_no_row(self, query):
+        before = compute_row.cache_info()
+        assert query() == 0
+        assert compute_row.cache_info() == before
+
+    @pytest.mark.parametrize("query", [coefficient, scaled_probability],
+                             ids=["coefficient", "scaled_probability"])
+    @pytest.mark.parametrize(
+        "n,q,message",
+        [(0, 2, "n must be a positive integer, got 0"),
+         (3, 0, "q must be a positive integer, got 0"),
+         (-1, 2, "n must be a positive integer, got -1")],
+    )
+    def test_invalid_n_or_q_still_raises(self, query, n, q, message):
+        with pytest.raises(ValueError, match=message):
+            query(n, -1, q)
+
+    def test_float_still_refused(self):
+        with pytest.raises(TypeError):
+            coefficient(2.0, -1, 2)
+
+
+class TestNumpyIntegers:
+    """numpy integers in n and q give the Python-int results: every value
+    is built from ints, since int64 arithmetic wraps."""
+
+    N, Q = np.int64(200), np.int64(2)
+
+    def test_row_from_a_numpy_key_serves_int_queries(self):
+        compute_row.cache_clear()
+        row = compute_row(self.N, self.Q)
+        assert (type(row.n), type(row.q), type(row.total)) == (int, int, int)
+        assert row.coeffs == _recurrence.row(200, 2)
+        value = coefficient(200, 200, 2)
+        assert type(value) is int and value == _recurrence.coefficient(200, 200, 2)
+        assert scaled_probability(self.N, 150, self.Q) == Fraction(
+            row.coeffs[150], 3**200)
+
+    def test_kernel(self):
+        assert _recurrence.row(self.N, self.Q) == _recurrence.row(200, 2)
+        value = _recurrence.coefficient(self.N, np.int64(150), self.Q)
+        assert type(value) is int and value == _recurrence.coefficient(200, 150, 2)
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            lambda n, q: exact_scaled_value(n, 150, q),
+            lambda n, q: standardize(n, 150, q),
+            lambda n, q: approximate_scaled(n, 150, q, 2),
+            central_ratio,
+        ],
+        ids=["exact_scaled_value", "standardize", "approximate_scaled",
+             "central_ratio"],
+    )
+    def test_float_layer(self, function):
+        compute_row.cache_clear()
+        got = function(self.N, self.Q)
+        compute_row.cache_clear()
+        assert type(got) is float and got == function(200, 2)
+
+    def test_rate_sweep(self):
+        ns = np.array([50, 100, 200])
+        harness._joined.cache_clear()
+        harness._partial_sum.cache_clear()
+        got = rate_sweep(self.Q, 1, ns)
+        harness._joined.cache_clear()
+        harness._partial_sum.cache_clear()
+        assert got == rate_sweep(2, 1, [50, 100, 200])
+        assert all(type(r.n) is int for r in got.records)
+
+    def test_cumulants(self):
+        k, q = np.int64(20), np.int64(8)
+        uniform_correction.cache_clear()  # so that the numpy q builds its entry
+        assert cumulant(k, q) == cumulant(20, 8)
+        assert cumulants_from_moments(k, q) == cumulants_from_moments(20, 8)
+        assert uniform_correction(12, q) == uniform_correction.__wrapped__(12, 8)

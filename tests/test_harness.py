@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extbinom import (
+    _recurrence,
     approximate_scaled,
     central_ratio,
     coefficient,
@@ -165,7 +167,8 @@ class TestCachedSums:
         "q, top, ns",
         [(q, 3, [50, 100, 200, 400]) for q in range(1, 9)]
         + [(q, 8, [1250, 5000, 20000]) for q in (1, 2)]
-        + [(2, 40, ns) for ns in ([1, 2, 3], [7, 77, 777])],
+        + [(2, 40, ns) for ns in ([1, 2, 3], [7, 77, 777])]
+        + [(2, 3, [50, 100, 200])],
     )
     def test_any_order_of_orders_equals_fresh(self, q, top, ns):
         fresh = {}
@@ -290,9 +293,12 @@ class TestExactFit:
         assert fit == fraction_fit(ns, errors)
         assert all(type(v) is float for v in fit)
 
-    @pytest.mark.parametrize("q", range(1, 9))
-    def test_sweep_grid(self, q):
-        ns = [50, 100, 200, 400]
+    @pytest.mark.parametrize(
+        "q, ns",
+        [pytest.param(q, [50, 100, 200, 400], id=str(q)) for q in range(1, 9)]
+        + [pytest.param(2, [50, 100, 200], id="2-50,100,200")],
+    )
+    def test_sweep_grid(self, q, ns):
         for order in range(4):
             report = rate_sweep(q, order, ns)
             errors = [r.sup_error for r in report.records]
@@ -345,6 +351,64 @@ class TestCentralRatio:
         ]
         slope = np.polyfit(np.log(ns), np.log(residuals), 1)[0]
         assert slope == pytest.approx(-(order + 1), abs=0.3)
+
+
+def decimal_pi():
+    """pi at the context's precision: the recipe in the documentation of
+    Python's decimal module."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        three = Decimal(3)
+        lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def top_bits(x, bits=400):
+    """x's leading bits and the shift that drops the rest."""
+    shift = max(x.bit_length() - bits, 0)
+    return x >> shift, shift
+
+
+class TestCentralExpansion:
+    """The complete expansion at the centre, x = 0, in exact arithmetic:
+    central_ratio(n, q) = 1 + sum_v P_v(0) n^-v, with P_v(0) the constant
+    coefficient of uniform_correction(v, q).poly.  After V terms the
+    residual R_V(n) is P_{V+1}(0) n^-(V+1) to leading order, so
+    t_V(n) = R_V(n) n^(V+1) / P_{V+1}(0) tends to 1 like 1/n.  The ratio is
+    formed from the top 400 bits of the central coefficient and of
+    (q+1)**n, and sqrt(2 pi n sigma^2) at 100 digits: at V = 12 and
+    n = 4000 the residual is P_13(0) times 4000^-13 = 1.5e-47, where a
+    float ratio would hold only rounding noise."""
+
+    C = 60  # max |t_V - 1| * n over the grid is 44.3
+
+    @staticmethod
+    def t(n, q, v_top):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            c, c_shift = top_bits(_recurrence.coefficient(n, n * q // 2, q))
+            total, total_shift = top_bits((q + 1) ** n)
+            ratio = Decimal(c) / Decimal(total) * Decimal(2) ** (c_shift - total_shift)
+            ratio *= (2 * decimal_pi() * n * q * (q + 2) / 12).sqrt()
+            p0 = [uniform_correction(v, q).poly.coeffs[0] for v in range(1, v_top + 2)]
+            p0 = [Decimal(p.numerator) / p.denominator for p in p0]
+            series = sum(p / Decimal(n) ** v for v, p in enumerate(p0[:-1], 1))
+            residual = ratio - 1 - series
+            return residual * Decimal(n) ** (v_top + 1) / p0[-1]
+
+    @pytest.mark.parametrize("v_top", [3, 6, 10, 12])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    def test_next_term_leads_the_residual(self, q, v_top):
+        ns = [1000, 2000, 4000]
+        gaps = [abs(self.t(n, q, v_top) - 1) for n in ns]
+        assert all(gap <= self.C / n for gap, n in zip(gaps, ns)), gaps
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestFirstOrderCrossCheck:

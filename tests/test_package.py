@@ -13,8 +13,6 @@ import pytest
 
 import extbinom
 
-ROOT = Path(__file__).resolve().parents[1]
-
 # the public names, by the submodule that defines them
 PUBLIC = {
     "cumulants": ["CumulantVector", "cumulant", "cumulants_from_moments",
@@ -59,7 +57,8 @@ def test_unknown_name():
 
 
 def test_names_load_on_first_use():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    parent = Path(extbinom.__file__).resolve().parents[1]  # of the extbinom under test
+    env = {**os.environ, "PYTHONPATH": str(parent)}
     code = (
         "import sys\n"
         "import extbinom\n"
