@@ -10,13 +10,18 @@ big-integer steps.  ``prefix`` is the one loop; ``row`` mirrors its
 first half into a whole row, and ``coefficient`` reads one value from
 the shorter side of the row's symmetry, a_k = a_{nq-k}.
 
-This module imports only ``operator``, which the interpreter has loaded
-at start-up, so the CLI's one-shot ``coeff``, ``row`` and ``expand``
-read the recurrence without loading ``extbinom.exact``, whose
-``compute_row`` caches each row as a ``BigRow``.  Repeated queries
-against one row belong there.
+The module also holds the lowest-terms helpers that every exact layer
+shares: ``_reduced`` brings an int pair to lowest terms by one gcd, and
+``_filled`` makes a ``Fraction`` of a pair already reduced.
+
+This module imports only ``math`` and ``operator``, which the
+interpreter has loaded at start-up, so the CLI's one-shot ``coeff``,
+``row`` and ``expand`` read the recurrence without loading
+``fractions`` or ``extbinom.exact``, whose ``compute_row`` caches each
+row as a ``BigRow``.  Repeated queries against one row belong there.
 """
 
+from math import gcd
 from operator import index
 
 
@@ -28,6 +33,29 @@ def _check_nq(n: int, q: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n}")
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
+
+
+def _reduced(numerator: int, denominator: int) -> tuple[int, int]:
+    """numerator / denominator as a lowest-terms int pair, for ints with
+    denominator >= 1."""
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def _filled(fraction_type, numerator: int, denominator: int):
+    """A ``fractions.Fraction`` of a pair already in lowest terms (coprime
+    ints, denominator >= 1).
+
+    ``object.__new__`` makes a bare instance and its two slots are filled
+    directly, which skips the Python-level ``Fraction.__new__`` with its
+    type dispatch, sign check and gcd; CPython 3.10 to 3.13 name the
+    slots alike.  Callers pass ``Fraction`` as ``fraction_type``, so that
+    this module does not load ``fractions``.
+    """
+    f = object.__new__(fraction_type)
+    f._numerator = numerator
+    f._denominator = denominator
+    return f
 
 
 def prefix(n: int, q: int, stop: int) -> list[int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, index, mul
 
-from extbinom.special import bernoulli
+from extbinom.special import _fraction, bernoulli
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,9 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
 
         Gamma_k = M_k - sum_{j=1..k-1} C(k-1, j-1) Gamma_j M_{k-j}
 
-    and each cumulant is returned as Fraction(Gamma_k, Q**k).  The
-    binomials come from Pascal rows carried from one k to the next.
+    and each cumulant is returned as Gamma_k / Q**k, reduced by one gcd
+    in ``special._fraction``.  The binomials come from Pascal rows
+    carried from one k to the next.
     """
     order, q = _check_kq(order, q)
     big_q = q + 1
@@ -104,5 +105,5 @@ def cumulants_from_moments(order: int, q: int) -> CumulantVector:
         scaled.append(moments[k] - tail)
         below, middle, above = middle, above, [1, *map(add, above, above[1:]), 1]
     return CumulantVector(
-        gammas=tuple(Fraction(g, powers[k]) for k, g in enumerate(scaled, 1))
+        gammas=tuple(_fraction(g, powers[k]) for k, g in enumerate(scaled, 1))
     )

@@ -10,8 +10,10 @@ Advanced Combinatorics, 1974, section 3.3), read off a power series
 instead of summed over the partitions of v.  Both builders take these
 bases and differ only in their series algorithm, which runs in integers
 over the bases' common denominator; the sum over s is formed in integers
-over that of the weights (the Hermite coefficients are integers), so a
-Fraction is built only per weight and per coefficient.
+over that of the weights (the Hermite coefficients are integers, each
+row built once by the memoized ``special._hermite_coeffs``).  Bases and
+weights stay reduced int pairs; a Fraction is built per nonzero output
+coefficient, by ``special._fraction``.
 
 ``correction_from_cumulants``
     The general construction for any symmetric lattice distribution,
@@ -53,9 +55,9 @@ from numbers import Rational, Real
 from operator import index
 
 from extbinom.cumulants import CumulantVector, cumulant
-from extbinom._recurrence import _check_nq
+from extbinom._recurrence import _check_nq, _reduced
 from extbinom._recurrence import coefficient as _coefficient
-from extbinom.special import RationalPolynomial, _hermite_coeffs
+from extbinom.special import RationalPolynomial, _fraction, _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -112,19 +114,24 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
-def _over_lcm(fractions: list[Fraction]) -> tuple[int, list[int]]:
-    """The lcm D of the fractions' denominators and each numerator over D."""
-    den = math.lcm(*(f.denominator for f in fractions))
-    return den, [f.numerator * (den // f.denominator) for f in fractions]
+def _base(gamma: Rational, k: int) -> tuple[int, int]:
+    """gamma / k! as a reduced int pair, for the cumulant gamma of order k."""
+    return _reduced(gamma.numerator, gamma.denominator * factorial(k))
 
 
-def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
-    """sum_d weights[d] * H_d, assembled in integers.
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The lcm D of the reduced pairs' denominators and each numerator over D."""
+    den = math.lcm(*(b for _, b in pairs))
+    return den, [a * (den // b) for a, b in pairs]
+
+
+def _hermite_sum(weights: dict[int, tuple[int, int]]) -> RationalPolynomial:
+    """sum_d weights[d] * H_d for reduced int pairs, assembled in integers.
 
     The Hermite coefficients are integers, so every weight is brought to
     the lcm D of the weights' denominators, each coefficient is summed as
-    an int, and one Fraction(sum, D) is built per nonzero coefficient;
-    the zero ones, half of them by parity, share one Fraction(0).
+    an int, and each nonzero sum becomes one ``_fraction(sum, D)``; the
+    zero ones, half of them by parity, share one Fraction(0).
     """
     den, scales = _over_lcm(list(weights.values()))
     coeffs = [0] * (max(weights, default=0) + 1)
@@ -133,7 +140,7 @@ def _hermite_sum(weights: dict[int, Fraction]) -> RationalPolynomial:
         for j in range(d % 2, d + 1, 2):
             coeffs[j] += scale * h[j]
     zero = Fraction(0)
-    return RationalPolynomial([Fraction(c, den) if c else zero for c in coeffs])
+    return RationalPolynomial([_fraction(c, den) if c else zero for c in coeffs])
 
 
 def correction_from_cumulants(
@@ -153,8 +160,8 @@ def correction_from_cumulants(
     Vol. 2, section 4.7); the k with g_k = 0 are skipped.  It runs in
     integers: with L the lcm of the denominators of the g_k, g_k = N_k / L
     and e_n(s) = [y^s] F_n(y) * L^s * n!, it reads e_n(s+1) = sum_k
-    k N_k (n-1)!/(n-k)! e_{n-k}(s), and each weight is one Fraction
-    e_order(s) / (L^s order! sigma^(order+2s)).
+    k N_k (n-1)!/(n-k)! e_{n-k}(s), and each weight is the reduced int
+    pair e_order(s) / (L^s order! sigma^(order+2s)).
 
     The algebra stays in the field of sigma^2, so order must be even: an
     odd order raises ValueError whenever some product of the g_k has a
@@ -164,6 +171,7 @@ def correction_from_cumulants(
 
     Requires cumulants up to order + 2.
     """
+    order = index(order)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not isinstance(variance, Rational):  # a float would be carried exactly
@@ -175,7 +183,7 @@ def correction_from_cumulants(
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    gs = [Fraction(cumulants.gamma(k), factorial(k)) for k in range(3, order + 3)]
+    gs = [_base(cumulants.gamma(k), k) for k in range(3, order + 3)]
     den, numer = _over_lcm(gs)  # L and the N_k, with g_k = N_k / L
     steps = [(k, k * nk) for k, nk in enumerate(numer, 1) if nk]  # g_k != 0
     # series[n] maps s to the int [y^s] F_n(y) * L^s * n!, zero ones kept
@@ -199,7 +207,7 @@ def correction_from_cumulants(
     for s, c in series[order].items():
         if c:
             p = order // 2 + s
-            weights[order + 2 * s] = Fraction(c * vd**p, den**s * scale * vn**p)
+            weights[order + 2 * s] = _reduced(c * vd**p, den**s * scale * vn**p)
     return GaussianPolynomial(poly=_hermite_sum(weights))
 
 
@@ -220,9 +228,10 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     [t^order] G^s = [t^order] N^s / L^s.  Even degree 2*(order + s_max),
     even powers of x only.
     """
+    order, q = index(order), index(q)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    gs = [Fraction(cumulant(k, q), factorial(k)) for k in range(4, 2 * order + 3, 2)]
+    gs = [_base(cumulant(k, q), k) for k in range(4, 2 * order + 3, 2)]
     den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
     vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
     weights = {}
@@ -232,7 +241,7 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
             sum(power[i] * numer[d - i - 1] for i in range(s - 1, d))
             for d in range(s, order + 1)
         ]
-        weights[2 * (order + s)] = Fraction(
+        weights[2 * (order + s)] = _reduced(
             vd ** (order + s) * power[order],
             vn ** (order + s) * den**s * factorial(s),
         )
@@ -253,6 +262,7 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     underflows to 0.0 while a correction polynomial overflows to +-inf
     (e.g. n=1, k=1000, q=2, order=40), and 0 * inf is nan.
     """
+    order = index(order)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     n, q = index(n), index(q)

@@ -33,7 +33,7 @@ from math import gcd
 from operator import index
 from typing import Iterator
 
-from extbinom._recurrence import _check_nq
+from extbinom._recurrence import _check_nq, _filled
 from extbinom._recurrence import row as _row
 
 
@@ -122,16 +122,6 @@ def composition_count(k: int, n: int, q: int) -> int:
     return coefficient(n, k - n, q - 1)
 
 
-def _lowest_terms_fraction(numerator: int, denominator: int) -> Fraction:
-    # Fraction(numerator, denominator) would run a full gcd to normalise a
-    # pair the caller has already reduced (coprime, denominator > 0), so
-    # fill the two slots directly; CPython 3.10 to 3.13 name them alike.
-    f = Fraction.__new__(Fraction)
-    f._numerator = numerator
-    f._denominator = denominator
-    return f
-
-
 def scaled_probability(n: int, k: int, q: int) -> Fraction:
     """P(S_n = k) for S_n a sum of n independent uniforms on {0, ..., q},
     as an exact rational in lowest terms.
@@ -155,5 +145,7 @@ def scaled_probability(n: int, k: int, q: int) -> Fraction:
         g = gcd(c, base**m if m < n else total)
         reduced = c // g
         if m >= n or gcd(reduced, base) == 1:
-            return _lowest_terms_fraction(reduced, total // g)
+            # reduced and total // g are coprime: Fraction() would run
+            # a full gcd to normalise them again
+            return _filled(Fraction, reduced, total // g)
         m *= 2

@@ -72,7 +72,7 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     ((n,), q), so only the correction polynomials are evaluated per
     order; every value has the bits of ``approximate_scaled`` at each k.
     It is the one-row case of ``rate_sweep``'s evaluation."""
-    return _sup_errors((index(n),), index(q), order)[0]
+    return _sup_errors((index(n),), index(q), index(order))[0]
 
 
 def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, int]]:
@@ -137,7 +137,8 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     slope is -(order + 1), the power of the first dropped correction
     term.  Requires at least 3 strictly increasing n values.
     """
-    ns, q = tuple(map(index, n_list)), index(q)  # ints: a numpy int64 n**v wraps
+    # ints: a numpy int64 n**v wraps
+    ns, q, order = tuple(map(index, n_list)), index(q), index(order)
     if len(ns) < 3:
         raise ValueError(f"need at least 3 values of n, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):

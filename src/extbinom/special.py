@@ -4,7 +4,11 @@ Hermite polynomials, and constrained multiplicity vectors.
 Conventions
 -----------
 * Rationals are ``fractions.Fraction`` throughout (always lowest terms,
-  positive denominator).
+  positive denominator).  Those built from an int pair in bulk, the
+  coefficients of a correction polynomial and the cumulants derived from
+  moments, come from ``_fraction``, which reduces the pair by one gcd
+  and fills the Fraction's slots directly, through the helpers
+  ``_recurrence._reduced`` and ``_filled`` that ``exact`` shares.
 * Bernoulli numbers follow the generating function ``t / (e^t - 1)``,
   so ``B_1 = -1/2``.  Only even indices are consumed downstream, where
   both common sign conventions agree.
@@ -20,9 +24,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import index
 from typing import Iterable, Union
 
+from extbinom._recurrence import _filled, _reduced
+
 Scalar = Union[int, Fraction]
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for ints with denominator >= 1:
+    the pair reduced by one gcd (``_recurrence._reduced``), its slots
+    filled without running ``Fraction.__new__`` (``_recurrence._filled``).
+    """
+    numerator, denominator = _reduced(numerator, denominator)
+    return _filled(Fraction, numerator, denominator)
 
 
 class RationalPolynomial:
@@ -132,9 +148,11 @@ def bernoulli(m: int) -> Fraction:
 def hermite(m: int) -> RationalPolynomial:
     """Probabilist's Hermite polynomial H_m, exact integer coefficients
     (those of ``_hermite_coeffs``)."""
-    return RationalPolynomial(_hermite_coeffs(m))
+    # an int key: a numpy integer m would build and cache a wrapped int64 row
+    return RationalPolynomial(_hermite_coeffs(index(m)))
 
 
+@lru_cache(maxsize=None)
 def _hermite_coeffs(m: int) -> tuple[int, ...]:
     """The integer coefficients of H_m, that of x**i at index i.
 
@@ -142,7 +160,9 @@ def _hermite_coeffs(m: int) -> tuple[int, ...]:
     (-1)^j m! / (j! (m-2j)! 2^j) for j = 0..m//2, and every coefficient
     of the other parity is zero.  Each coefficient follows from the
     previous one by an exact integer step, so H_m costs O(m) integer
-    operations.  Uncached; the correction builders read these ints.
+    operations.  Memoized, since the correction builders read these ints
+    and the builders of orders 1..V for one q share most degrees; an
+    immutable tuple, so every caller can share it.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")

@@ -27,6 +27,7 @@ from extbinom import (
     uniform_correction,
 )
 from extbinom.harness import _scale
+from extbinom.special import _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -288,6 +289,21 @@ class TestUniformBuilder:
         gp = uniform_correction(order, q)
         ys = np.exp(-0.5 * xs * xs) / SQRT_2PI * gp.poly(xs)
         assert abs(np.trapezoid(ys, xs)) < 1e-8
+
+    def test_each_hermite_row_built_once(self):
+        uniform_correction.cache_clear()
+        _hermite_coeffs.cache_clear()
+        vs = range(1, 7)
+        for v in vs:
+            uniform_correction(v, 3)
+        degrees = {2 * (v + s) for v in vs for s in range(1, v + 1)}
+        info = _hermite_coeffs.cache_info()
+        assert info.misses == len(degrees)
+        assert info.hits == sum(vs) - len(degrees)  # order v reads v rows
+        for m in degrees:
+            cached = _hermite_coeffs(m)
+            assert type(cached) is tuple and all(type(c) is int for c in cached)
+            assert cached == hermite(m).coeffs
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -23,16 +23,20 @@ from extbinom import (
     coefficient,
     composition_count,
     compute_row,
+    correction_from_cumulants,
     cumulant,
     cumulants_from_moments,
+    cumulants_up_to,
     exact_scaled_value,
     harness,
+    hermite,
     iter_rows,
     rate_sweep,
     scaled_probability,
     standardize,
     uniform_correction,
 )
+from extbinom.special import _hermite_coeffs
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -296,8 +300,8 @@ class TestOutsideTheSupport:
 
 
 class TestNumpyIntegers:
-    """numpy integers in n and q give the Python-int results: every value
-    is built from ints, since int64 arithmetic wraps."""
+    """numpy integers in n, q and order give the Python-int results: every
+    value is built from ints, since int64 arithmetic wraps."""
 
     N, Q = np.int64(200), np.int64(2)
 
@@ -349,3 +353,42 @@ class TestNumpyIntegers:
         assert cumulant(k, q) == cumulant(20, 8)
         assert cumulants_from_moments(k, q) == cumulants_from_moments(20, 8)
         assert uniform_correction(12, q) == uniform_correction.__wrapped__(12, 8)
+
+    @staticmethod
+    def assert_int_coefficients(gp, expected):
+        assert gp == expected
+        assert all(type(c.numerator) is int and type(c.denominator) is int
+                   for c in gp.poly.coeffs)
+
+    def test_orders(self):
+        order = np.int64(12)
+        uniform_correction.cache_clear()  # so that the numpy order builds its entry
+        self.assert_int_coefficients(uniform_correction(order, 8),
+                                     uniform_correction.__wrapped__(12, 8))
+        closed = cumulants_up_to(14, 8)
+        self.assert_int_coefficients(
+            correction_from_cumulants(order, closed, closed.gamma(2)),
+            correction_from_cumulants(12, closed, closed.gamma(2)))
+
+    def test_hermite_degree(self):
+        # hermite caches the int row that the correction builders read, so a
+        # numpy degree must not leave an int64 row there
+        hermite.cache_clear()
+        _hermite_coeffs.cache_clear()
+        want_h, want = hermite(40), uniform_correction.__wrapped__(10, 2)  # H_22..H_40
+        hermite.cache_clear()
+        _hermite_coeffs.cache_clear()
+        h = hermite(np.int64(40))
+        assert h == want_h
+        assert all(type(c.numerator) is int for c in h.coeffs)
+        assert all(type(c) is int for c in _hermite_coeffs(40))
+        self.assert_int_coefficients(uniform_correction.__wrapped__(10, 2), want)
+
+    def test_rate_sweep_order(self):
+        harness._joined.cache_clear()
+        harness._partial_sum.cache_clear()
+        got = rate_sweep(2, np.int64(3), [50, 100, 200])
+        harness._joined.cache_clear()
+        harness._partial_sum.cache_clear()
+        assert got == rate_sweep(2, 3, [50, 100, 200])
+        assert type(got.order) is int

@@ -1,5 +1,5 @@
-"""Bernoulli numbers, Hermite polynomials, partition multiplicities and
-the exact polynomial carrier.
+"""Bernoulli numbers, Hermite polynomials, partition multiplicities, the
+lowest-terms constructor and the exact polynomial carrier.
 
 Oracles: Akiyama-Tanigawa for Bernoulli numbers, repeated symbolic
 differentiation of the Gaussian cofactor for Hermite polynomials, and
@@ -25,7 +25,7 @@ from extbinom import (
     hermite,
 )
 from extbinom.harness import _joined
-from extbinom.special import _hermite_coeffs
+from extbinom.special import _fraction, _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -145,6 +145,33 @@ class TestPartitionSolutions:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             enumerate_partition_solutions(0)
+
+
+# one-limb and multi-limb ints (CPython stores 30 bits per limb)
+numerators = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**300, 2**300))
+denominators = st.one_of(st.integers(1, 10**6), st.integers(1, 2**300))
+
+
+class TestLowestTerms:
+    """``_fraction`` fills Fraction's private slots itself, so everything
+    read from its result must be what ``Fraction(n, d)`` gives."""
+
+    @settings(max_examples=300)
+    @given(numerators, denominators, st.integers(1, 2**70))
+    @example(0, 1, 1)
+    @example(0, 2**200, 3)
+    @example(-(2**130), 2**70, 1)
+    @example(6, 4, 1)
+    def test_matches_fraction(self, n, d, common):
+        n, d = n * common, d * common  # a pair with a common factor to remove
+        got, want = _fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert got == want
+        assert repr(got * 3 - Fraction(1, 7)) == repr(want * 3 - Fraction(1, 7))
 
 
 rationals = st.fractions(
