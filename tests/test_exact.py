@@ -7,6 +7,8 @@ enumeration of bounded compositions.
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from extbinom import (
     _recurrence,
+    exact,
     approximate_scaled,
     central_ratio,
     coefficient,
@@ -248,19 +251,170 @@ class TestScaledProbability:
     # the first three exceed the first probe (q+1)**8 and need a second:
     # at k = 1 the coefficient is n, with 2-adic valuation 10 in 2**10 and 9
     # in 2**9 * 3 (q+1 = 6), and the (96, 94, 2) coefficient has 3-adic
-    # valuation 13; in 3**7 and 6**4 the first probe covers it
+    # valuation 13; in 3**7 and 6**4 the first probe covers it.  The last
+    # three need a second probe too: 2-adic valuation 18 > 8 * 2 (q+1 = 4),
+    # 2-adic 9 > 8 (q+1 = 6) and 3-adic 10 > 8 (q+1 = 12)
     @pytest.mark.parametrize(
         "n,k,q",
-        [(2**10, 1, 1), (2**9 * 3, 1, 5), (96, 94, 2), (3**7, 1, 2), (6**4, 1, 5)],
+        [(2**10, 1, 1), (2**9 * 3, 1, 5), (96, 94, 2), (3**7, 1, 2), (6**4, 1, 5),
+         (110, 11, 3), (14, 11, 5), (34, 58, 11)],
     )
     def test_lowest_terms_at_high_valuation(self, n, k, q):
         self.assert_same_fraction(n, k, q)
+
+    # q+1 a prime power (4, 8, 16) or a composite (6, 12); n up to 8 takes
+    # the full gcd at once, larger n probes (q+1)**m first; k at both ends
+    # (coefficient 1, so g = 1), the centre, or anywhere
+    @given(
+        q=st.sampled_from([3, 7, 15, 5, 11]),
+        n=st.one_of(st.integers(1, 7), st.integers(8, 400)),
+        where=st.sampled_from(["first", "last", "centre", "any"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fraction(self, q, n, where, data):
+        top = n * q
+        if where == "any":
+            k = data.draw(st.integers(0, top))
+        else:
+            k = {"first": 0, "last": top, "centre": top // 2}[where]
+        got = scaled_probability(n, k, q)
+        want = Fraction(_recurrence.coefficient(n, k, q), (q + 1) ** n)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want) and repr(got) == repr(want)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             scaled_probability(0, 0, 2)
         with pytest.raises(ValueError):
             scaled_probability(2, 0, 0)
+
+
+def _measured_bits(coeffs) -> int:
+    """sys.getsizeof of a row's tuple and of its distinct ints, in bits."""
+    distinct = {id(c): c for c in coeffs}.values()
+    return 8 * (sys.getsizeof(coeffs) + sum(map(sys.getsizeof, distinct)))
+
+
+class TestRowCacheBudget:
+    """compute_row keeps rows up to a budget of estimated bits, not up to
+    a count of rows; no test here builds a large row."""
+
+    def test_hits_stay_in_functools_c_code(self):
+        from _functools import _lru_cache_wrapper
+
+        assert isinstance(compute_row, _lru_cache_wrapper)
+        assert compute_row.cache_parameters()["maxsize"] is None
+
+    def test_more_than_64_rows_are_all_kept(self):
+        keys = [(n, q) for q in (1, 2, 3) for n in range(1, 31)]
+        compute_row.cache_clear()
+        for n, q in keys:
+            compute_row(n, q)
+        first = compute_row.cache_info()
+        assert first.misses == first.currsize == len(keys) > 64
+        for n, q in keys:
+            compute_row(n, q)
+        second = compute_row.cache_info()
+        assert second.misses == first.misses and second.currsize == len(keys)
+        assert second.hits == first.hits + len(keys)
+
+    @given(n=st.integers(1, 150), q=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_covers_the_measured_size(self, n, q):
+        coeffs = _recurrence.row(n, q)
+        measured = _measured_bits(coeffs)
+        assert measured <= exact._row_bits(coeffs) <= 4 * measured
+
+    def test_a_small_budget_flushes_and_bounds_what_is_held(self, monkeypatch):
+        keys = [(n, q) for q in (2, 5, 3) for n in range(20, 60, 3)]
+        bits = {key: exact._row_bits(_recurrence.row(*key)) for key in keys}
+        budget = 4 * max(bits.values())
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", budget)
+        compute_row.cache_clear()
+        held, flushes, largest = [], 0, 0
+        for key in keys:
+            # the policy: a row that would take the total past the budget
+            # empties the cache first
+            if sum(bits[k] for k in held) + bits[key] > budget:
+                held, flushes = [], flushes + 1
+            held.append(key)
+            row = compute_row(*key)
+            assert row.coeffs == _recurrence.row(*key)
+            info = compute_row.cache_info()
+            assert info.currsize == len(held)
+            assert sum(bits[k] for k in held) <= budget
+            largest = max(largest, info.currsize)
+        assert flushes >= 3
+        assert largest <= budget // min(bits.values())
+        # the miss that flushes is counted before the flush
+        compute_row.cache_clear()
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", bits[keys[0]])
+        compute_row(*keys[0])
+        compute_row(*keys[1])
+        info = compute_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 1)
+        assert compute_row(*keys[1]).coeffs == _recurrence.row(*keys[1])
+
+    def test_a_row_above_the_budget_is_still_served(self, monkeypatch):
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", 1)
+        compute_row.cache_clear()
+        for n in (30, 40, 30):
+            assert compute_row(n, 4).coeffs == _recurrence.row(n, 4)
+            assert compute_row.cache_info().currsize == 1
+
+    def test_an_outside_clear_restarts_the_count(self, monkeypatch):
+        first = [(n, 3) for n in range(30, 40)]
+        second = [(n, 4) for n in range(20, 30)]
+        budget = sum(exact._row_bits(_recurrence.row(*key)) for key in first)
+        assert sum(exact._row_bits(_recurrence.row(*key)) for key in second) <= budget
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", budget)
+        for keys in (first, second):
+            compute_row.cache_clear()  # as tests and the benchmark's rounds do
+            for key in keys:
+                compute_row(*key)
+            # no flush: the count did not carry the cleared rows over
+            info = compute_row.cache_info()
+            assert info.currsize == info.misses == len(keys)
+
+    def test_concurrent_builds_stay_within_the_budget(self, monkeypatch):
+        keys = [(n, q) for q in (2, 3, 4, 6) for n in range(10, 50, 2)]
+        bits = {key: exact._row_bits(_recurrence.row(*key)) for key in keys}
+        budget = 5 * max(bits.values())
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", budget)
+        compute_row.cache_clear()
+        wrong = []
+
+        def build(part):
+            for _ in range(3):
+                for key in part:
+                    if compute_row(*key).coeffs != _recurrence.row(*key):
+                        wrong.append(key)
+
+        threads = [threading.Thread(target=build, args=(keys[i::4],)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        # Which rows are held: with the budget lifted no probe flushes, so
+        # a probe that hits found its row cached and one that misses did not.
+        monkeypatch.setattr(exact, "ROW_CACHE_BITS", 2**62)
+        held = []
+        for key in keys:
+            hits = compute_row.cache_info().hits
+            compute_row(*key)
+            if compute_row.cache_info().hits > hits:
+                held.append(key)
+        # each of the four threads may add one row past the budget
+        assert sum(bits[k] for k in held) <= budget + 4 * max(bits.values())
 
 
 class TestOutsideTheSupport:
