@@ -10,8 +10,10 @@ big-integer steps.  ``prefix`` is the one loop; ``row`` mirrors its
 first half into a whole row, and ``coefficient`` reads one value from
 the shorter side of the row's symmetry, a_k = a_{nq-k}.
 
-The module also holds the lowest-terms helpers that every exact layer
-shares: ``_reduced`` brings an int pair to lowest terms by one gcd, and
+The module also holds what every layer shares: the integer-argument
+gate ``_int`` (and ``_check_nq`` for n and q), through which each public
+function takes its integer arguments, and the lowest-terms helpers:
+``_reduced`` brings an int pair to lowest terms by one gcd, and
 ``_filled`` makes a ``Fraction`` of a pair already reduced.
 
 This module imports only ``math`` and ``operator``, which the
@@ -25,14 +27,35 @@ from math import gcd
 from operator import index
 
 
-def _check_nq(n: int, q: int) -> None:
-    # Callers that build a value first take n and q through
-    # operator.index: a numpy integer becomes an int, since int64
-    # arithmetic would wrap, and a float is refused with TypeError.
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
+def _int(value, name: str, low: int = 1) -> int:
+    """An integer argument as a Python int, refused with ValueError below
+    ``low``: 1 ("a positive integer") or 0 ("a nonnegative integer").
+
+    Every public function takes its integer arguments (n, q, each order
+    and the k of a point query) through here or ``_check_nq`` before any
+    work.  ``operator.index`` turns a numpy integer into an int, so no
+    value is computed or cached from int64 arithmetic, which wraps, and
+    refuses a float, even an integral one, with TypeError.  A memoized
+    function of one argument may gate on a miss: ``lru_cache`` keys a
+    lone int by itself and anything else by a tuple, so a float never
+    finds an int's entry.  With more arguments the key is the tuple of
+    values, where 4.0 finds 4, so ``cumulant`` is memoized per type.
+    """
+    value = index(value)
+    if value < low:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return value
+
+
+def _check_nq(n, q) -> tuple[int, int]:
+    """n and q through ``_int``, in one call with ``index`` inline, since
+    the point queries run it on every lookup."""
+    n, q = index(n), index(q)
+    if n < 1 or q < 1:
+        _int(n, "n")
+        _int(q, "q")
+    return n, q
 
 
 def _reduced(numerator: int, denominator: int) -> tuple[int, int]:
@@ -81,8 +104,7 @@ def prefix(n: int, q: int, stop: int) -> list[int]:
 def row(n: int, q: int) -> tuple[int, ...]:
     """The whole row a_0..a_{nq}: its first half and the mirror of it,
     which shares the same int objects."""
-    n, q = index(n), index(q)
-    _check_nq(n, q)
+    n, q = _check_nq(n, q)
     top = n * q
     half = top // 2
     a = prefix(n, q, half)
@@ -92,8 +114,8 @@ def row(n: int, q: int) -> tuple[int, ...]:
 def coefficient(n: int, k: int, q: int) -> int:
     """a_k of the row for (n, q), zero for k outside 0..n*q, from the
     min(k, n*q - k) + 1 values up to it and no more."""
-    n, q = index(n), index(q)
-    _check_nq(n, q)
+    n, q = _check_nq(n, q)
+    k = index(k)
     top = n * q
     if not 0 <= k <= top:
         return 0

@@ -52,10 +52,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 from numbers import Rational, Real
-from operator import index
 
 from extbinom.cumulants import CumulantVector, cumulant
-from extbinom._recurrence import _check_nq, _reduced
+from extbinom._recurrence import _check_nq, _int, _reduced
 from extbinom._recurrence import coefficient as _coefficient
 from extbinom.special import RationalPolynomial, _fraction, _hermite_coeffs
 
@@ -90,8 +89,7 @@ def standardize(n: int, k: int, q: int) -> float:
     """Lattice point k less the mean n*a/b, over the standard deviation
     sqrt(n*c/d) of the n-fold uniform sum, with a/b = ``cumulant(1, q)`` and
     c/d = ``cumulant(2, q)`` reduced; exactly 0.0 at the central point."""
-    n, q = index(n), index(q)
-    _check_nq(n, q)
+    n, q = _check_nq(n, q)
     a, b = cumulant(1, q).as_integer_ratio()
     c, d = cumulant(2, q).as_integer_ratio()
     return (b * k - n * a) / b * math.sqrt(d / (c * n))
@@ -110,7 +108,7 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     One-shot: the coefficient comes from the recurrence up to k (or its
     mirror) and no row is kept, so for many k of one row read
     ``compute_row(n, q)`` instead."""
-    n, q = index(n), index(q)
+    n, q = _check_nq(n, q)
     return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
@@ -171,9 +169,7 @@ def correction_from_cumulants(
 
     Requires cumulants up to order + 2.
     """
-    order = index(order)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _int(order, "order")
     if not isinstance(variance, Rational):  # a float would be carried exactly
         raise TypeError(f"variance must be an int or Fraction, got {variance!r}")
     variance = Fraction(variance)
@@ -228,9 +224,7 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     [t^order] G^s = [t^order] N^s / L^s.  Even degree 2*(order + s_max),
     even powers of x only.
     """
-    order, q = index(order), index(q)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _int(order, "order")  # q reaches only cumulant, which gates it
     gs = [_base(cumulant(k, q), k) for k in range(4, 2 * order + 3, 2)]
     den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
     vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
@@ -262,10 +256,8 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     underflows to 0.0 while a correction polynomial overflows to +-inf
     (e.g. n=1, k=1000, q=2, order=40), and 0 * inf is nan.
     """
-    order = index(order)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    n, q = index(n), index(q)
+    order = _int(order, "order", 0)
+    n, q = _check_nq(n, q)
     x = standardize(n, k, q)
     corr = 0.0
     for v in range(1, order + 1):

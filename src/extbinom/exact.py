@@ -32,7 +32,7 @@ the new row's size to a running total.  When the total would pass
 cache and the count starts again at the new row, so the rows held never
 take more than the budget plus one row.  The budget holds every
 benchmark workload's rows about 90 times over and three (20000, 2) rows
-at once, where 64 entries could hold 4 GB.  Emptying everything keeps
+at once.  Emptying everything keeps
 every lookup on the C hit path, about 0.1 µs; evicting by size in
 least-recently-used order needs a Python-level cache, about 0.5 µs per
 lookup under its lock (timeit, Python 3.11, 2 vCPUs), and a ``rows``
@@ -48,11 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import index
 from threading import Lock
 from typing import Iterator
 
 from extbinom._recurrence import _check_nq, _filled
+from extbinom._recurrence import coefficient as _coefficient
 from extbinom._recurrence import row as _row
 
 
@@ -133,10 +133,6 @@ def _hold(coeffs: tuple[int, ...]) -> None:
 def compute_row(n: int, q: int) -> BigRow:
     """Exact coefficient row of ``(1 + x + ... + x^q)**n``.
 
-    The row is built from n and q as Python ints, so a numpy integer
-    key, which hashes and compares equal to its int, caches the same
-    row.
-
     Rows are cached until their estimated sizes (``_row_bits``) would
     pass ``ROW_CACHE_BITS``, 2**31 bits, which every benchmark workload
     fits under with a wide margin.  The miss that would pass it empties
@@ -149,7 +145,7 @@ def compute_row(n: int, q: int) -> BigRow:
     flushes is counted before the flush, so right after one the cache
     holds one row and counts no miss.
     """
-    n, q = index(n), index(q)
+    n, q = _check_nq(n, q)
     coeffs = _row(n, q)
     _hold(coeffs)
     return BigRow(n=n, q=q, coeffs=coeffs)
@@ -164,8 +160,7 @@ def iter_rows(q: int, n_max: int) -> Iterator[BigRow]:
     when every row is needed or as a route independent of the
     recurrence.
     """
-    n_max, q = index(n_max), index(q)
-    _check_nq(n_max, q)
+    n_max, q = _check_nq(n_max, q)
     row = [1] * (q + 1)
     yield BigRow(n=1, q=q, coeffs=tuple(row))
     for n in range(2, n_max + 1):
@@ -180,8 +175,7 @@ def coefficient(n: int, k: int, q: int) -> int:
     Reduces to the ordinary binomial coefficient C(n, k) at q = 1.
     """
     if not 0 <= k <= n * q:  # no row is built for a zero outside it
-        _check_nq(index(n), index(q))
-        return 0
+        return _coefficient(n, k, q)
     return compute_row(n, q).coeffs[k]
 
 
@@ -189,7 +183,7 @@ def composition_count(k: int, n: int, q: int) -> int:
     """Number of compositions of k into n parts from {1, ..., q}."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    _check_nq(n, q)
+    n, q = _check_nq(n, q)
     if q == 1:
         # all parts equal 1, so only k = n is reachable
         return 1 if k == n else 0
@@ -206,8 +200,7 @@ def scaled_probability(n: int, k: int, q: int) -> Fraction:
     none when the coefficient shares no prime with q+1.
     """
     if not 0 <= k <= n * q:  # no row is built for a zero outside it
-        _check_nq(index(n), index(q))
-        return Fraction(0)
+        return Fraction(_coefficient(n, k, q))
     row = compute_row(n, q)
     # the row's own n and q, which are ints even when the caller's are not
     n, base = row.n, row.q + 1

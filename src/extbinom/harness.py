@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import Sequence
 
-from extbinom._recurrence import _check_nq
+from extbinom._recurrence import _check_nq, _int
 from extbinom.edgeworth import (  # exact_scaled_value is re-exported
     _scale,
     approximate_scaled,
@@ -72,14 +71,13 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     ((n,), q), so only the correction polynomials are evaluated per
     order; every value has the bits of ``approximate_scaled`` at each k.
     It is the one-row case of ``rate_sweep``'s evaluation."""
-    return _sup_errors((index(n),), index(q), index(order))[0]
+    n, q = _check_nq(n, q)
+    return _sup_errors((n,), q, _int(order, "order", 0))[0]
 
 
 def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, int]]:
     """uniform_error(n, q, order) for each n in ns: the half rows end to
     end, each correction evaluated once, each first argmax on its slice."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     exact, _, base, lengths = _joined(ns, q)
     err = abs(exact - base * (1.0 + _partial_sum(ns, q, order)))
     out, start = [], 0
@@ -138,7 +136,8 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     term.  Requires at least 3 strictly increasing n values.
     """
     # ints: a numpy int64 n**v wraps
-    ns, q, order = tuple(map(index, n_list)), index(q), index(order)
+    ns = tuple(_int(n, "n") for n in n_list)
+    q, order = _int(q, "q"), _int(order, "order", 0)
     if len(ns) < 3:
         raise ValueError(f"need at least 3 values of n, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -190,7 +189,7 @@ def central_ratio(n: int, q: int) -> float:
     Defined only when n*q is even, so that the central index n*q/2 is an
     integer.
     """
-    _check_nq(n, q)
+    n, q = _check_nq(n, q)
     if (n * q) % 2:
         raise ValueError(f"central index requires n*q even, got n={n}, q={q}")
     row = compute_row(n, q)
@@ -209,7 +208,7 @@ def first_order_cross_check(n: int, k: int, q: int) -> tuple[float, float]:
     times the Gaussian density.  Any gap beyond float rounding signals
     an assembly bug; the tests require agreement to 1e-12.
     """
-    n, q = index(n), index(q)
+    n, q = _check_nq(n, q)
     series = approximate_scaled(n, k, q, order=1)
     x = standardize(n, k, q)
     factor = 1.0 - ((q + 1) ** 4 - 1) * (x**4 - 6 * x * x + 3) / (

@@ -24,10 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import index
 from typing import Iterable, Union
 
-from extbinom._recurrence import _filled, _reduced
+from extbinom._recurrence import _filled, _int, _reduced
 
 Scalar = Union[int, Fraction]
 
@@ -134,8 +133,7 @@ def bernoulli(m: int) -> Fraction:
     ``B_1 = -1/2`` and zero at every odd index above 1, so those return
     at once and the sum skips them.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _int(m, "m", 0)
     if m == 0:
         return Fraction(1)
     if m % 2 and m > 1:
@@ -147,9 +145,8 @@ def bernoulli(m: int) -> Fraction:
 @lru_cache(maxsize=None)
 def hermite(m: int) -> RationalPolynomial:
     """Probabilist's Hermite polynomial H_m, exact integer coefficients
-    (those of ``_hermite_coeffs``)."""
-    # an int key: a numpy integer m would build and cache a wrapped int64 row
-    return RationalPolynomial(_hermite_coeffs(index(m)))
+    (those of ``_hermite_coeffs``, which takes m through the gate)."""
+    return RationalPolynomial(_hermite_coeffs(m))
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +161,7 @@ def _hermite_coeffs(m: int) -> tuple[int, ...]:
     and the builders of orders 1..V for one q share most degrees; an
     immutable tuple, so every caller can share it.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _int(m, "m", 0)
     coeffs = [0] * (m + 1)
     c = 1
     for i in range(m, -1, -2):  # c is the coefficient of x**i
@@ -184,8 +180,7 @@ def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:
     enumerate partitions: this serves the tests as the oracle for their
     power series, and the benchmark as a partition counter.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _int(order, "order")
     out: list[tuple[int, ...]] = []
     ks = [0] * order
 

@@ -7,6 +7,8 @@ enumeration of bounded compositions.
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 from extbinom import (
     _recurrence,
     exact,
+    RationalPolynomial,
     approximate_scaled,
+    bernoulli,
     central_ratio,
     coefficient,
     composition_count,
@@ -30,7 +34,9 @@ from extbinom import (
     cumulant,
     cumulants_from_moments,
     cumulants_up_to,
+    enumerate_partition_solutions,
     exact_scaled_value,
+    first_order_cross_check,
     harness,
     hermite,
     iter_rows,
@@ -38,6 +44,7 @@ from extbinom import (
     scaled_probability,
     standardize,
     uniform_correction,
+    uniform_error,
 )
 from extbinom.special import _hermite_coeffs
 
@@ -448,9 +455,101 @@ class TestOutsideTheSupport:
         with pytest.raises(ValueError, match=message):
             query(n, -1, q)
 
-    def test_float_still_refused(self):
+    # a float is refused on every branch: in n, in q on composition_count's
+    # q == 1 branch, and in a k outside the support, which builds no row
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda: coefficient(2.0, -1, 2),
+            lambda: composition_count(3, 3, 1.0),
+            lambda: composition_count(3, 3.0, 1.0),
+            lambda: coefficient(4, 20.0, 2),
+            lambda: scaled_probability(4, 20.0, 2),
+            lambda: composition_count(50.0, 3, 3),
+            lambda: _recurrence.coefficient(4, 20.0, 2),
+            lambda: exact_scaled_value(4, 20.0, 2),
+        ],
+        ids=["coefficient-n", "composition_count-q", "composition_count-n-q",
+             "coefficient-k", "scaled_probability-k", "composition_count-k",
+             "kernel-k", "exact_scaled_value-k"],
+    )
+    def test_float_still_refused(self, query):
         with pytest.raises(TypeError):
-            coefficient(2.0, -1, 2)
+            query()
+
+
+def _correction(order):
+    closed = cumulants_up_to(14, 8)
+    return correction_from_cumulants(order, closed, closed.gamma(2))
+
+
+# Every function that takes integer arguments through the gate in
+# ``_recurrence``: the call, its int arguments, the same with one argument
+# below its bound, and that refusal's message.
+GATED = {
+    "kernel_row": (_recurrence.row, (200, 2), (0, 2),
+                   "n must be a positive integer, got 0"),
+    "kernel_coefficient": (_recurrence.coefficient, (200, 150, 2), (200, 150, 0),
+                           "q must be a positive integer, got 0"),
+    "compute_row": (compute_row, (200, 2), (200, -1),
+                    "q must be a positive integer, got -1"),
+    "iter_rows": (lambda q, n_max: list(iter_rows(q, n_max)), (3, 40), (3, 0),
+                  "n must be a positive integer, got 0"),
+    "coefficient": (coefficient, (200, 150, 2), (0, 150, 2),
+                    "n must be a positive integer, got 0"),
+    "scaled_probability": (scaled_probability, (200, 150, 2), (200, 150, 0),
+                           "q must be a positive integer, got 0"),
+    "composition_count": (composition_count, (300, 200, 3), (0, 200, 3),
+                          "k must be a positive integer, got 0"),
+    "bernoulli": (bernoulli, (30,), (-1,), "m must be a nonnegative integer, got -1"),
+    "hermite": (hermite, (40,), (-2,), "m must be a nonnegative integer, got -2"),
+    "enumerate_partition_solutions": (enumerate_partition_solutions, (8,), (0,),
+                                      "order must be a positive integer, got 0"),
+    "cumulant": (cumulant, (20, 8), (0, 8),
+                 "cumulant order must be a positive integer, got 0"),
+    "cumulants_up_to": (cumulants_up_to, (20, 8), (0, 8),
+                        "cumulant order must be a positive integer, got 0"),
+    "cumulants_from_moments": (cumulants_from_moments, (20, 8), (20, 0),
+                               "q must be a positive integer, got 0"),
+    # k of the float layer is not gated: it may be an array of any type
+    "standardize": (lambda n, q: standardize(n, 150, q), (200, 2), (-3, 2),
+                    "n must be a positive integer, got -3"),
+    "exact_scaled_value": (exact_scaled_value, (200, 150, 2), (200, 150, 0),
+                           "q must be a positive integer, got 0"),
+    "correction_from_cumulants": (_correction, (12,), (0,),
+                                  "order must be a positive integer, got 0"),
+    "uniform_correction": (uniform_correction, (12, 8), (0, 8),
+                           "order must be a positive integer, got 0"),
+    "approximate_scaled": (lambda n, q, order: approximate_scaled(n, 150, q, order),
+                           (200, 2, 2), (200, 2, -1),
+                           "order must be a nonnegative integer, got -1"),
+    "uniform_error": (uniform_error, (100, 2, 1), (100, 2, -1),
+                      "order must be a nonnegative integer, got -1"),
+    "rate_sweep": (rate_sweep, (2, 1, [50, 100, 200]), (2, 1, [0, 100, 200]),
+                   "n must be a positive integer, got 0"),
+    "central_ratio": (central_ratio, (200, 2), (200, 0),
+                      "q must be a positive integer, got 0"),
+    "first_order_cross_check": (lambda n, q: first_order_cross_check(n, 150, q),
+                                (200, 2), (0, 2), "n must be a positive integer, got 0"),
+}
+CACHES = (compute_row, bernoulli, hermite, _hermite_coeffs, cumulant,
+          uniform_correction, harness._joined, harness._partial_sum)
+
+
+def _leaves(value):
+    """The scalars a result is made of, each Fraction as its two ints."""
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    elif isinstance(value, Fraction):
+        yield from (value.numerator, value.denominator)
+    elif isinstance(value, RationalPolynomial):
+        yield from _leaves(value.coeffs)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _leaves(getattr(value, field.name))
+    else:
+        yield value
 
 
 class TestNumpyIntegers:
@@ -546,3 +645,21 @@ class TestNumpyIntegers:
         harness._partial_sum.cache_clear()
         assert got == rate_sweep(2, 3, [50, 100, 200])
         assert type(got.order) is int
+
+    @pytest.mark.parametrize("entry", GATED.values(), ids=GATED)
+    def test_int_result(self, entry):
+        function, args, _, _ = entry
+        numpy_args = [np.array(a) if isinstance(a, list) else np.int64(a) for a in args]
+        for cache in CACHES:  # so that the numpy arguments build every entry
+            cache.cache_clear()
+        got = function(*numpy_args)
+        for cache in CACHES:
+            cache.cache_clear()
+        assert got == function(*args)
+        assert {type(v) for v in _leaves(got)} <= {int, float}
+
+    @pytest.mark.parametrize("entry", GATED.values(), ids=GATED)
+    def test_below_bound(self, entry):
+        function, _, below, message = entry
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(*below)

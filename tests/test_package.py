@@ -1,5 +1,5 @@
 """The package namespace: 26 public names, each loaded from the submodule
-that defines it on first use."""
+that defines it on first use; and the README's example of them."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,24 @@ def test_names_load_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_block():
+    """The README's ``## Library`` block runs, and each result whose comment
+    is a Python expression has that expression as its repr."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:  # the other comments are prose
+            want = eval(comment, {"Fraction": Fraction})
+        except (SyntaxError, NameError):
+            continue
+        got = eval(code, namespace)
+        assert (got, repr(got)) == (want, comment.strip())
+        checked.append(code.strip())
+    assert checked == ["compute_row(4, 2).coeffs", "scaled_probability(4, 4, 2)"]

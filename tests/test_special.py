@@ -76,6 +76,11 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(-1)
 
+    def test_float_refused_with_its_int_cached(self):
+        bernoulli(4)
+        with pytest.raises(TypeError):
+            bernoulli(4.0)
+
 
 class TestHermite:
     def test_base_cases(self):
@@ -114,6 +119,11 @@ class TestHermite:
             hermite(-2)
         with pytest.raises(ValueError):
             _hermite_coeffs(-2)
+
+    def test_float_refused_with_its_int_cached(self):
+        hermite(4)  # caches H_4 and its integer row
+        with pytest.raises(TypeError):
+            hermite(4.0)
 
 
 class TestPartitionSolutions:
