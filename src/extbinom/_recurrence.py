@@ -33,13 +33,12 @@ def _int(value, name: str, low: int = 1) -> int:
 
     Every public function takes its integer arguments (n, q, each order
     and the k of a point query) through here or ``_check_nq`` before any
-    work.  ``operator.index`` turns a numpy integer into an int, so no
-    value is computed or cached from int64 arithmetic, which wraps, and
-    refuses a float, even an integral one, with TypeError.  A memoized
-    function of one argument may gate on a miss: ``lru_cache`` keys a
-    lone int by itself and anything else by a tuple, so a float never
-    finds an int's entry.  With more arguments the key is the tuple of
-    values, where 4.0 finds 4, so ``cumulant`` is memoized per type.
+    work, and a memoized one before its cache lookup, or else its cache
+    keys by type, so that a float never finds an int's entry;
+    ``exact.compute_row`` alone does neither.  ``operator.index`` turns a
+    numpy integer into an int, so no value is computed or cached from
+    int64 arithmetic, which wraps, and refuses a float, even an integral
+    one, with TypeError.
     """
     value = index(value)
     if value < low:

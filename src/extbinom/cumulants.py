@@ -31,7 +31,8 @@ class CumulantVector:
 
     def gamma(self, k: int) -> Fraction:
         """Cumulant of order k (1-based)."""
-        if not 1 <= k <= len(self.gammas):
+        k = _int(k, "cumulant order")
+        if k > len(self.gammas):
             raise ValueError(
                 f"cumulant order {k} outside stored range 1..{len(self.gammas)}"
             )
@@ -43,8 +44,7 @@ class CumulantVector:
 
 @lru_cache(maxsize=1024, typed=True)
 def cumulant(k: int, q: int) -> Fraction:
-    """Cumulant gamma_k of the uniform distribution on {0, ..., q}; memoized
-    per argument type, so a float q fails as it would uncached."""
+    """Cumulant gamma_k of the uniform distribution on {0, ..., q}."""
     k, q = _int(k, "cumulant order"), _int(q, "q")
     if k == 1:
         return Fraction(q, 2)

@@ -207,7 +207,7 @@ def correction_from_cumulants(
     return GaussianPolynomial(poly=_hermite_sum(weights))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     """Correction term of the given order for the uniform on {0, ..., q}.
 

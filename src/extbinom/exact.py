@@ -48,10 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import index
 from threading import Lock
 from typing import Iterator
 
-from extbinom._recurrence import _check_nq, _filled
+from extbinom._recurrence import _check_nq, _filled, _int
 from extbinom._recurrence import coefficient as _coefficient
 from extbinom._recurrence import row as _row
 
@@ -174,6 +175,7 @@ def coefficient(n: int, k: int, q: int) -> int:
 
     Reduces to the ordinary binomial coefficient C(n, k) at q = 1.
     """
+    n, k, q = index(n), index(k), index(q)
     if not 0 <= k <= n * q:  # no row is built for a zero outside it
         return _coefficient(n, k, q)
     return compute_row(n, q).coeffs[k]
@@ -181,14 +183,14 @@ def coefficient(n: int, k: int, q: int) -> int:
 
 def composition_count(k: int, n: int, q: int) -> int:
     """Number of compositions of k into n parts from {1, ..., q}."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _int(k, "k")
     n, q = _check_nq(n, q)
     if q == 1:
         # all parts equal 1, so only k = n is reachable
         return 1 if k == n else 0
     # shift each part down by one: n parts in {0, ..., q-1} summing to k - n
-    return coefficient(n, k - n, q - 1)
+    k, q = k - n, q - 1
+    return compute_row(n, q).coeffs[k] if 0 <= k <= n * q else 0
 
 
 def scaled_probability(n: int, k: int, q: int) -> Fraction:
@@ -199,12 +201,11 @@ def scaled_probability(n: int, k: int, q: int) -> Fraction:
     against (q+1)**n, and at most two divisions of row-sized integers;
     none when the coefficient shares no prime with q+1.
     """
+    n, k, q = index(n), index(k), index(q)
     if not 0 <= k <= n * q:  # no row is built for a zero outside it
         return Fraction(_coefficient(n, k, q))
     row = compute_row(n, q)
-    # the row's own n and q, which are ints even when the caller's are not
-    n, base = row.n, row.q + 1
-    c, total = row.coeffs[k], row.total
+    base, c, total = q + 1, row.coeffs[k], row.total
     # Every common factor of c and (q+1)**n is a prime of q+1, so
     # g = gcd(c, (q+1)**m) is the full gcd once c // g shares no prime
     # with q+1; until then double m, up to m = n.  A prime p of q+1

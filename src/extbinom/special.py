@@ -124,7 +124,7 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self.coeffs)!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, exact.
 
@@ -142,14 +142,13 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@lru_cache(maxsize=None)
 def hermite(m: int) -> RationalPolynomial:
-    """Probabilist's Hermite polynomial H_m, exact integer coefficients
-    (those of ``_hermite_coeffs``, which takes m through the gate)."""
+    """Probabilist's Hermite polynomial H_m, exact integer coefficients,
+    built anew from the memoized ``_hermite_coeffs`` (which gates m)."""
     return RationalPolynomial(_hermite_coeffs(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hermite_coeffs(m: int) -> tuple[int, ...]:
     """The integer coefficients of H_m, that of x**i at index i.
 

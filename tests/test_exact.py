@@ -8,6 +8,8 @@ enumeration of bounded compositions.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 import sys
 import threading
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extbinom
 from extbinom import (
     _recurrence,
     exact,
@@ -455,8 +458,22 @@ class TestOutsideTheSupport:
         with pytest.raises(ValueError, match=message):
             query(n, -1, q)
 
-    # a float is refused on every branch: in n, in q on composition_count's
-    # q == 1 branch, and in a k outside the support, which builds no row
+    @pytest.mark.parametrize("query", [coefficient, scaled_probability],
+                             ids=["coefficient", "scaled_probability"])
+    def test_support_is_tested_in_ints(self, query, monkeypatch):
+        # np.int64(2**62) * np.int64(4) wraps to 0, which would put k = 1
+        # outside the support; in ints it is inside, so the row is wanted
+        def build(n, q):
+            raise LookupError(type(n), n, type(q), q)
+
+        monkeypatch.setattr(exact, "compute_row", build)
+        with pytest.raises(LookupError) as wanted:
+            query(np.int64(2**62), 1, np.int64(4))
+        assert wanted.value.args == (int, 2**62, int, 4)
+
+    # a float is refused on every branch, before any row is built: in n, in
+    # q on composition_count's q == 1 branch, and in a k outside the support
+    # or inside it
     @pytest.mark.parametrize(
         "query",
         [
@@ -468,14 +485,20 @@ class TestOutsideTheSupport:
             lambda: composition_count(50.0, 3, 3),
             lambda: _recurrence.coefficient(4, 20.0, 2),
             lambda: exact_scaled_value(4, 20.0, 2),
+            lambda: coefficient(4, 2.0, 2),
+            lambda: scaled_probability(4, 2.0, 2),
+            lambda: composition_count(5.0, 3, 3),
         ],
         ids=["coefficient-n", "composition_count-q", "composition_count-n-q",
              "coefficient-k", "scaled_probability-k", "composition_count-k",
-             "kernel-k", "exact_scaled_value-k"],
+             "kernel-k", "exact_scaled_value-k", "coefficient-k-inside",
+             "scaled_probability-k-inside", "composition_count-k-inside"],
     )
     def test_float_still_refused(self, query):
+        compute_row.cache_clear()
         with pytest.raises(TypeError):
             query()
+        assert compute_row.cache_info().currsize == 0
 
 
 def _correction(order):
@@ -511,6 +534,8 @@ GATED = {
                         "cumulant order must be a positive integer, got 0"),
     "cumulants_from_moments": (cumulants_from_moments, (20, 8), (20, 0),
                                "q must be a positive integer, got 0"),
+    "CumulantVector.gamma": (lambda k: cumulants_up_to(4, 2).gamma(k), (2,), (0,),
+                             "cumulant order must be a positive integer, got 0"),
     # k of the float layer is not gated: it may be an array of any type
     "standardize": (lambda n, q: standardize(n, 150, q), (200, 2), (-3, 2),
                     "n must be a positive integer, got -3"),
@@ -532,7 +557,7 @@ GATED = {
     "first_order_cross_check": (lambda n, q: first_order_cross_check(n, 150, q),
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
-CACHES = (compute_row, bernoulli, hermite, _hermite_coeffs, cumulant,
+CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant,
           uniform_correction, harness._joined, harness._partial_sum)
 
 
@@ -624,12 +649,10 @@ class TestNumpyIntegers:
             correction_from_cumulants(12, closed, closed.gamma(2)))
 
     def test_hermite_degree(self):
-        # hermite caches the int row that the correction builders read, so a
-        # numpy degree must not leave an int64 row there
-        hermite.cache_clear()
+        # _hermite_coeffs caches the int row that the correction builders
+        # read, so a numpy degree must not leave an int64 row there
         _hermite_coeffs.cache_clear()
         want_h, want = hermite(40), uniform_correction.__wrapped__(10, 2)  # H_22..H_40
-        hermite.cache_clear()
         _hermite_coeffs.cache_clear()
         h = hermite(np.int64(40))
         assert h == want_h
@@ -663,3 +686,26 @@ class TestNumpyIntegers:
         function, _, below, message = entry
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             function(*below)
+
+    # compute_row is left out: its cache is read before the gate, so that
+    # a hit stays in lru_cache's C code, and 4.0 finds the row of 4
+    @pytest.mark.parametrize("name", [name for name in GATED if name != "compute_row"])
+    def test_float_refused_with_its_int_cached(self, name):
+        function, args, _, _ = GATED[name]
+        function(*args)
+        function(*[np.int64(a) if type(a) is int else a for a in args])
+        for i, a in enumerate(args):
+            if type(a) is int:
+                with pytest.raises(TypeError):
+                    function(*args[:i], float(a), *args[i + 1:])
+
+    def test_caches_names_every_cache(self):
+        # what test_int_result clears: a cache left out would serve it the
+        # entry of an int argument, and the numpy one would go untested
+        found = set()
+        for info in pkgutil.iter_modules(extbinom.__path__):
+            module = importlib.import_module(f"extbinom.{info.name}")
+            found |= {f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                      if getattr(obj, "__module__", None) == module.__name__
+                      and hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")}
+        assert found == {f"{c.__module__}.{c.__name__}" for c in CACHES}

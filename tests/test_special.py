@@ -121,7 +121,7 @@ class TestHermite:
             _hermite_coeffs(-2)
 
     def test_float_refused_with_its_int_cached(self):
-        hermite(4)  # caches H_4 and its integer row
+        hermite(4)  # caches the integer row of H_4
         with pytest.raises(TypeError):
             hermite(4.0)
 
