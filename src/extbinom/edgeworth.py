@@ -56,7 +56,7 @@ from numbers import Rational, Real
 from extbinom.cumulants import CumulantVector, cumulant
 from extbinom._recurrence import _check_nq, _int, _reduced
 from extbinom._recurrence import coefficient as _coefficient
-from extbinom.special import RationalPolynomial, _fraction, _hermite_coeffs
+from extbinom.special import RationalPolynomial, _fraction, _hermite_coeffs, _ratio
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -112,9 +112,11 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
     return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
 
 
-def _base(gamma: Rational, k: int) -> tuple[int, int]:
-    """gamma / k! as a reduced int pair, for the cumulant gamma of order k."""
-    return _reduced(gamma.numerator, gamma.denominator * factorial(k))
+def _base(gamma: tuple[int, int], k: int) -> tuple[int, int]:
+    """gamma / k! as a reduced int pair, for the cumulant gamma of order k
+    given as an int pair."""
+    numerator, denominator = gamma
+    return _reduced(numerator, denominator * factorial(k))
 
 
 def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
@@ -170,16 +172,15 @@ def correction_from_cumulants(
     Requires cumulants up to order + 2.
     """
     order = _int(order, "order")
-    if not isinstance(variance, Rational):  # a float would be carried exactly
-        raise TypeError(f"variance must be an int or Fraction, got {variance!r}")
-    variance = Fraction(variance)
-    if variance <= 0:
+    vn, vd = _ratio(variance, "variance")  # a float would be carried exactly
+    if vn <= 0:
         raise ValueError("variance must be positive")
     if len(cumulants) < order + 2:
         raise ValueError(
             f"need cumulants up to order {order + 2}, got {len(cumulants)}"
         )
-    gs = [_base(cumulants.gamma(k), k) for k in range(3, order + 3)]
+    gs = [_base(_ratio(cumulants.gamma(k), f"cumulant {k}"), k)
+          for k in range(3, order + 3)]
     den, numer = _over_lcm(gs)  # L and the N_k, with g_k = N_k / L
     steps = [(k, k * nk) for k, nk in enumerate(numer, 1) if nk]  # g_k != 0
     # series[n] maps s to the int [y^s] F_n(y) * L^s * n!, zero ones kept
@@ -198,7 +199,7 @@ def correction_from_cumulants(
             "term leaves an odd power of sigma: only cumulant inputs with "
             "vanishing odd cumulants are supported"
         )
-    vn, vd, scale = variance.numerator, variance.denominator, factorial(order)
+    scale = factorial(order)
     weights = {}
     for s, c in series[order].items():
         if c:
@@ -225,7 +226,9 @@ def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     even powers of x only.
     """
     order = _int(order, "order")  # q reaches only cumulant, which gates it
-    gs = [_base(cumulant(k, q), k) for k in range(4, 2 * order + 3, 2)]
+    # cumulant's Fractions are built from Python ints: no _ratio needed
+    gs = [_base(cumulant(k, q).as_integer_ratio(), k)
+          for k in range(4, 2 * order + 3, 2)]
     den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
     vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
     weights = {}

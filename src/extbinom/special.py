@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Rational
+from operator import index
 from typing import Iterable, Union
 
 from extbinom._recurrence import _filled, _int, _reduced
@@ -40,19 +42,42 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return _filled(Fraction, numerator, denominator)
 
 
+def _ratio(value, name: str) -> tuple[int, int]:
+    """The numerator and denominator of a ``numbers.Rational`` as Python
+    ints, through ``operator.index``: those of a Fraction of numpy
+    integers, or of a numpy integer itself, are numpy integers, whose
+    arithmetic wraps.  Anything else, a float included, raises TypeError.
+    """
+    if not isinstance(value, Rational):
+        raise TypeError(f"{name} must be an int or Fraction, got {value!r}")
+    return index(value.numerator), index(value.denominator)
+
+
+def _exact(c) -> Fraction:
+    """A polynomial coefficient other than an exact Fraction, as a
+    Fraction of Python ints: a float exactly, any other value by
+    ``_ratio``."""
+    if isinstance(c, float):
+        return Fraction(c)
+    return _fraction(*_ratio(c, "a coefficient"))
+
+
 class RationalPolynomial:
     """Dense polynomial with exact Fraction coefficients; coeffs[i] is the
     coefficient of x**i.
 
     Trailing zero coefficients are stripped on construction, so equal
     polynomials always compare equal.  A coefficient of type exactly
-    Fraction is kept as it is (it is immutable); any other, a bool or a
-    Fraction subclass included, is converted by Fraction(c).  Evaluation
-    at int or Fraction points is exact; at anything else (floats, numpy
-    arrays) it runs a floating Horner scheme on float coefficients
-    converted once, on the first such call, stepping in place on one new
-    array so that x is never written; it skips the add of each zero
-    coefficient but the constant, with the bits of the full scheme.
+    Fraction is kept as it is (it is immutable); a float is converted
+    exactly; any other ``numbers.Rational`` (an int, a bool, a numpy
+    integer, a Fraction subclass) becomes the Fraction of its numerator
+    and denominator as Python ints, and anything else raises TypeError.
+    Evaluation at int or Fraction points is exact; at anything else
+    (floats, numpy arrays) it runs a floating Horner scheme on float
+    coefficients converted once, on the first such call, stepping in
+    place on one new array so that x is never written; it skips the add
+    of each zero coefficient but the constant, with the bits of the full
+    scheme.
 
     Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
     scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
@@ -63,7 +88,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

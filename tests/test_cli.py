@@ -250,13 +250,16 @@ class TestSweep:
         rows, comments = parse_csv(path.read_text())
         assert len(rows) == 3 and len(comments) == 1
 
-    def test_study_script_csv_matches_sweep(self, capsys, tmp_path):
-        run_python(
+    def test_study_script_matches_rate_sweep(self):
+        proc = run_python(
             str(ROOT / "scripts" / "convergence_study.py"), "--qs", "2",
-            "--orders", "1", "--n-list", "50,100,200", "--out-dir", str(tmp_path),
+            "--orders", "1", "--n-list", "50,100,200",
         )
-        _, out, _ = run(capsys, "sweep", "2", "--order", "1", "--n-list", "50,100,200")
-        assert (tmp_path / "sweep_q2_order1.csv").read_bytes() == out.encode()
+        report = harness.rate_sweep(2, 1, [50, 100, 200])
+        assert proc.stdout.splitlines()[1].split() == [
+            "2", "1", f"{report.fitted_slope:.4f}", f"{report.slope_stderr:.4f}",
+            *(f"{r.sup_error:.3e}" for r in report.records),
+        ]
 
     def test_central_ratio_study(self):
         proc = run_python(

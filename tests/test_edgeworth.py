@@ -187,6 +187,11 @@ class TestGeneralBuilder:
         with pytest.raises(TypeError, match="variance"):
             correction_from_cumulants(2, cumulants_up_to(4, 2), variance)
 
+    def test_float_cumulant_rejected(self):
+        floats = CumulantVector(gammas=(0.5, 1.0, 0.0, 2.0))
+        with pytest.raises(TypeError, match="^cumulant 3 must be an int or Fraction"):
+            correction_from_cumulants(2, floats, 1)
+
     def test_int_cumulants_stay_exact(self):
         ints = CumulantVector(gammas=(0, 1, 0, 1, 0, 1))
         fractions = CumulantVector(gammas=tuple(map(Fraction, ints.gammas)))
@@ -310,6 +315,38 @@ class TestUniformBuilder:
             uniform_correction(0, 2)
         with pytest.raises(ValueError):
             uniform_correction(1, 0)
+
+
+class TestContinuousLimit:
+    """As q grows, the standardized uniform on {0, ..., q} tends to the
+    continuous uniform on [0, 1] (the Irwin-Hall law), whose cumulants
+    are those of ``cumulant`` without the factor (q+1)^2l - 1:
+    gamma_1 = 1/2, gamma_2l = B_2l / (2l), the odd ones 0, variance 1/12.
+    Each ratio gamma_2l / sigma^2l is a rational function of (q+1)^2, so
+    ``uniform_correction(v, q)`` tends to the general builder's term of
+    order 2v for those cumulants with a gap of exact order (q+1)^-2."""
+
+    # the largest coefficient gap times (q+1)^2, measured for v = 1..4:
+    # 0.80, 1.45, 2.25, 2.84 at q = 1; from q = 10^3 on it reads 0.6000,
+    # 0.8143, 0.7969, 0.5346 to four places
+    BOUND, FLOOR, SETTLED = 3.0, 0.5, 1e-3
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_gap_shrinks_like_q_squared(self, v):
+        irwin_hall = CumulantVector(gammas=(Fraction(1, 2),) + tuple(
+            bernoulli(k) / k for k in range(2, 2 * v + 3)))
+        limit = correction_from_cumulants(2 * v, irwin_hall, Fraction(1, 12)).poly
+        scaled = []
+        for q in (1, 2, 10, 10**3, 10**6, 10**9):
+            coeffs = uniform_correction(v, q).poly.coeffs
+            assert len(coeffs) == len(limit.coeffs)
+            gap = max(abs(a - b) for a, b in zip(coeffs, limit.coeffs))
+            scaled.append(gap * (q + 1) ** 2)
+        assert max(scaled) <= self.BOUND
+        *_, at_1e3, at_1e6, at_1e9 = scaled
+        assert at_1e9 >= self.FLOOR
+        assert abs(at_1e6 - at_1e3) <= self.SETTLED
+        assert abs(at_1e9 - at_1e6) <= self.SETTLED
 
 
 class TestApproximateScaled:

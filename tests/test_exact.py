@@ -26,6 +26,7 @@ import extbinom
 from extbinom import (
     _recurrence,
     exact,
+    CumulantVector,
     RationalPolynomial,
     approximate_scaled,
     bernoulli,
@@ -647,6 +648,31 @@ class TestNumpyIntegers:
         self.assert_int_coefficients(
             correction_from_cumulants(order, closed, closed.gamma(2)),
             correction_from_cumulants(12, closed, closed.gamma(2)))
+
+    def test_rational_arguments(self):
+        # Fraction(np.int64(5)).numerator is an np.int64: wrapping a value
+        # in Fraction converts nothing
+        closed = cumulants_up_to(14, 3)
+        want = correction_from_cumulants(12, closed, 5)
+        for variance in (np.int64(5), Fraction(np.int64(5))):
+            self.assert_int_coefficients(
+                correction_from_cumulants(12, closed, variance), want)
+        as_numpy = CumulantVector(tuple(
+            Fraction(np.int64(g.numerator), np.int64(g.denominator))
+            for g in closed.gammas))
+        self.assert_int_coefficients(correction_from_cumulants(12, as_numpy, 5), want)
+        ints = CumulantVector(tuple(range(1, 15)))
+        self.assert_int_coefficients(
+            correction_from_cumulants(12, CumulantVector(tuple(map(np.int64, ints.gammas))), 5),
+            correction_from_cumulants(12, ints, 5))
+
+    def test_polynomial_coefficients(self):
+        p = RationalPolynomial([np.int64(3), np.int64(2**62)])
+        assert p == RationalPolynomial([3, 2**62])
+        assert all(type(c.numerator) is int for c in p.coeffs)
+        assert (p + p).coeffs == (6, 2**63)
+        assert p(2) == 3 + 2**63
+        assert (p * Fraction(2**70)).coeffs == (3 * 2**70, 2**132)
 
     def test_hermite_degree(self):
         # _hermite_coeffs caches the int row that the correction builders

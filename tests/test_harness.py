@@ -72,6 +72,18 @@ class TestUniformError:
         sup1, _ = uniform_error(100, 2, 1)
         assert sup1 < sup0
 
+    # n^(order+1) * sup error at n = 100, measured for q = 1, 2, 4, ..., 64:
+    # order 0 falls 0.0996 -> 0.0599, order 1 0.0425 -> 0.0172, order 2
+    # 0.0565 -> 0.0144; the bands add about 10% on either side
+    @pytest.mark.parametrize("order,low,high", [
+        (0, 0.054, 0.110), (1, 0.0155, 0.047), (2, 0.013, 0.062)])
+    def test_rate_uniform_in_q(self, order, low, high):
+        # the expansion does not get worse as q grows: only the row does
+        scaled = [100 ** (order + 1) * uniform_error(100, 2**i, order)[0]
+                  for i in range(7)]
+        assert all(low <= s <= high for s in scaled)
+        assert scaled == sorted(scaled, reverse=True)
+
     @pytest.mark.parametrize("q", range(1, 9))
     def test_equals_scalar_loop(self, q):
         # the per-k scan uniform_error replaced: strict > keeps the first

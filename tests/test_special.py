@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,7 @@ class TestRationalPolynomial:
         forms = [
             [1, 0, 2, 0, 0],
             [True, False, 2, False],
+            [1.0, 0.0, 2.0, 0.0],
             [Fraction(1), Fraction(0), Fraction(4, 2), Fraction(0)],
             [Sub(1), Sub(0), Sub(2), Sub(0), Sub(0)],
         ]
@@ -236,6 +238,11 @@ class TestRationalPolynomial:
         assert polys[0].coeffs == (1, 0, 2)
         third = Fraction(1, 3)
         assert RationalPolynomial([third, 0]).coeffs[0] is third
+
+    @pytest.mark.parametrize("c", ["1/2", Decimal("0.5"), 1j])
+    def test_non_rational_coefficient_refused(self, c):
+        with pytest.raises(TypeError, match="coefficient"):
+            RationalPolynomial([1, c])
 
     def test_exact_evaluation(self):
         p = RationalPolynomial([Fraction(1, 3), 0, 1])
