@@ -26,7 +26,10 @@ short command such as ``coeff`` starts without loading the rest of the
 package or numpy.  ``coeff``, ``row`` and ``expand`` are one-shot: they
 read the recurrence kernel ``extbinom._recurrence`` directly and build
 no cached row, so ``coeff`` and ``row`` load neither ``extbinom.exact``
-nor its ``dataclasses`` and ``fractions``.
+nor its ``dataclasses`` and ``fractions``.  ``expand``, ``qpoly`` and
+``cumulants`` read the record-free kernel ``extbinom._expansion``, not
+the ``cumulants`` and ``edgeworth`` modules that wrap it in dataclasses,
+so only ``sweep`` loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from typing import NoReturn
 
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
 # box with Python 3.11: every correction up to order 40 builds in about
-# 0.6 s at q = 8 (`expand 3 1 8 --order 40`), up to order 60 in 4.3 s.
+# 0.17 s at q = 8 (`expand 3 1 8 --order 40`), up to order 60 in 1.8 s.
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`
-# takes about 0.4 s on the same box, 600 about 1.4 s, nearly flat in q.
+# takes about 0.18 s on the same box, 600 about 0.58 s (0.45 s at q = 2).
 MAX_CUMULANT_ORDER = 400
 # the bounded options by argparse dest, checked in main before dispatch
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
@@ -95,12 +98,12 @@ def cmd_row(args) -> str:
 
 
 def cmd_expand(args) -> str:
-    from extbinom.edgeworth import (
+    from extbinom._expansion import (
         approximate_scaled,
         exact_scaled_value,
         gaussian,
         standardize,
-        uniform_correction,
+        uniform_polynomial,
     )
 
     n, k, q, order = args.n, args.k, args.q, args.order
@@ -108,11 +111,11 @@ def cmd_expand(args) -> str:
     approx = approximate_scaled(n, k, q, order)
     x = standardize(n, k, q)
     if args.terms:
-        rows = [{"term": "x", "value": x}, {"term": "gaussian", "value": gaussian(x)}]
-        for v in range(1, order + 1):
-            rows.append(
-                {"term": f"nu={v}", "value": uniform_correction(v, q)(x) / n**v}
-            )
+        density = gaussian(x)
+        rows = [{"term": "x", "value": x}, {"term": "gaussian", "value": density}]
+        for v in range(1, order + 1):  # uniform_correction(v, q)(x) / n**v
+            value = density * uniform_polynomial(v, q)(x) / n**v
+            rows.append({"term": f"nu={v}", "value": value})
         rows.append({"term": "total", "value": approx})
         rows.append({"term": "exact", "value": exact})
         rows.append({"term": "abs_error", "value": abs(exact - approx)})
@@ -148,12 +151,12 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_cumulants(args) -> str:
-    from extbinom.cumulants import cumulants_from_moments, cumulants_up_to
+    from extbinom._expansion import gammas_from_moments, gammas_up_to
 
-    gammas = cumulants_up_to(args.max_order, args.q).gammas
+    gammas = gammas_up_to(args.max_order, args.q)
     rows = [{"k": k, "gamma": gamma} for k, gamma in enumerate(gammas, 1)]
     if args.oracle:
-        oracle = cumulants_from_moments(args.max_order, args.q).gammas
+        oracle = gammas_from_moments(args.max_order, args.q)
         for row, gamma in zip(rows, oracle):
             row["oracle_gamma"] = gamma
             row["match"] = row["gamma"] == gamma
@@ -161,9 +164,9 @@ def cmd_cumulants(args) -> str:
 
 
 def cmd_qpoly(args) -> str:
-    from extbinom.edgeworth import uniform_correction
+    from extbinom._expansion import uniform_polynomial
 
-    poly = uniform_correction(args.nu, args.q).poly
+    poly = uniform_polynomial(args.nu, args.q)
     rows = [
         {"power": i, "coefficient": c}
         for i, c in enumerate(poly.coeffs)

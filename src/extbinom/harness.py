@@ -31,13 +31,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from extbinom._recurrence import _check_nq, _int
-from extbinom.edgeworth import (  # exact_scaled_value is re-exported
+from extbinom._expansion import (  # exact_scaled_value is re-exported
     _scale,
     approximate_scaled,
     exact_scaled_value,
     gaussian,
     standardize,
-    uniform_correction,
+    uniform_polynomial,
 )
 from extbinom.exact import compute_row
 
@@ -121,7 +121,7 @@ def _partial_sum(ns: tuple[int, ...], q: int, order: int):
 
     _, x, _, lengths = _joined(ns, q)
     div = np.repeat([float(n**order) for n in ns], lengths)
-    corr = _partial_sum(ns, q, order - 1) + uniform_correction(order, q).poly(x) / div
+    corr = _partial_sum(ns, q, order - 1) + uniform_polynomial(order, q)(x) / div
     corr.flags.writeable = False
     return corr
 

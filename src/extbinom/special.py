@@ -68,10 +68,14 @@ class RationalPolynomial:
 
     Trailing zero coefficients are stripped on construction, so equal
     polynomials always compare equal.  A coefficient of type exactly
-    Fraction is kept as it is (it is immutable); a float is converted
-    exactly; any other ``numbers.Rational`` (an int, a bool, a numpy
-    integer, a Fraction subclass) becomes the Fraction of its numerator
-    and denominator as Python ints, and anything else raises TypeError.
+    Fraction whose numerator and denominator are Python ints is kept as
+    it is (it is immutable); a float is converted exactly; any other
+    ``numbers.Rational`` (an int, a bool, a numpy integer, a Fraction of
+    numpy integers, a Fraction subclass) becomes the Fraction of its
+    numerator and denominator as Python ints, and anything else raises
+    TypeError.  The correction builders, whose Fractions are all of
+    Python ints, construct through ``_of_fractions``, which skips that
+    check.
     Evaluation at int or Fraction points is exact; at anything else
     (floats, numpy arrays) it runs a floating Horner scheme on float
     coefficients converted once, on the first such call, stepping in
@@ -88,7 +92,22 @@ class RationalPolynomial:
     __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        cs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
+        self._fill([
+            c if type(c) is Fraction
+            and type(c.numerator) is int and type(c.denominator) is int
+            else _exact(c)
+            for c in coeffs
+        ])
+
+    @classmethod
+    def _of_fractions(cls, coeffs: list[Fraction]) -> "RationalPolynomial":
+        """The polynomial of a list of Fractions of Python ints, taken as
+        they are; the list is consumed."""
+        poly = object.__new__(cls)
+        poly._fill(coeffs)
+        return poly
+
+    def _fill(self, cs: list[Fraction]) -> None:
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

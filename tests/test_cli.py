@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extbinom
-from extbinom import coefficient, compute_row, cumulants, edgeworth, harness
+from extbinom import _expansion, coefficient, compute_row, harness
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -315,8 +315,8 @@ class WorkStarted(Exception):
 # it runs, so a patch there is what the command calls
 WORK = {
     harness: ("rate_sweep",),
-    edgeworth: ("approximate_scaled", "exact_scaled_value", "uniform_correction"),
-    cumulants: ("cumulants_up_to",),
+    _expansion: ("approximate_scaled", "exact_scaled_value", "gammas_up_to",
+                 "uniform_polynomial"),
 }
 
 
@@ -450,6 +450,9 @@ LIBRARY = {f"extbinom.{name}" for name in
 # coeff and row read the recurrence directly: no cached BigRow, so neither
 # the dataclass machinery nor fractions
 ONE_SHOT = LIBRARY | {"dataclasses", "fractions"}
+# expand, qpoly and cumulants read the record-free kernel _expansion, which
+# loads special but no module that defines a dataclass
+KERNEL = LIBRARY - {"extbinom.special"} | {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -459,10 +462,9 @@ ONE_SHOT = LIBRARY | {"dataclasses", "fractions"}
         ("coeff 4 4 2 --json", ONE_SHOT),
         ("row 2 2", ONE_SHOT),
         ("row 2 2 --json", ONE_SHOT),
-        ("expand 100 90 2 --order 1 --terms", {"extbinom.exact", "extbinom.harness"}),
-        ("cumulants 2 --max-order 4 --oracle",
-         {"extbinom.exact", "extbinom.edgeworth", "extbinom.harness"}),
-        ("qpoly 2 --nu 1", {"extbinom.exact", "extbinom.harness"}),
+        ("expand 100 90 2 --order 1 --terms", KERNEL),
+        ("cumulants 2 --max-order 4 --oracle", KERNEL),
+        ("qpoly 2 --nu 1", KERNEL),
         ("sweep 2 --order 1 --n-list 50,100,200", set()),
     ],
     ids=["coeff", "coeff-json", "row", "row-json", "expand", "cumulants", "qpoly",

@@ -26,6 +26,7 @@ from extbinom import (
     standardize,
     uniform_correction,
 )
+from extbinom._expansion import uniform_polynomial
 from extbinom.harness import _scale
 from extbinom.special import _hermite_coeffs
 
@@ -296,7 +297,7 @@ class TestUniformBuilder:
         assert abs(np.trapezoid(ys, xs)) < 1e-8
 
     def test_each_hermite_row_built_once(self):
-        uniform_correction.cache_clear()
+        uniform_polynomial.cache_clear()
         _hermite_coeffs.cache_clear()
         vs = range(1, 7)
         for v in vs:

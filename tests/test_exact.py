@@ -27,6 +27,7 @@ from extbinom import (
     _recurrence,
     exact,
     CumulantVector,
+    GaussianPolynomial,
     RationalPolynomial,
     approximate_scaled,
     bernoulli,
@@ -50,6 +51,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
+from extbinom._expansion import uniform_polynomial
 from extbinom.special import _hermite_coeffs
 
 
@@ -559,7 +561,12 @@ GATED = {
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
 CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant,
-          uniform_correction, harness._joined, harness._partial_sum)
+          uniform_polynomial, harness._joined, harness._partial_sum)
+
+
+def uncached_uniform_correction(order, q):
+    """uniform_correction(order, q) built anew, past the polynomial cache."""
+    return GaussianPolynomial(uniform_polynomial.__wrapped__(order, q))
 
 
 def _leaves(value):
@@ -628,10 +635,10 @@ class TestNumpyIntegers:
 
     def test_cumulants(self):
         k, q = np.int64(20), np.int64(8)
-        uniform_correction.cache_clear()  # so that the numpy q builds its entry
+        uniform_polynomial.cache_clear()  # so that the numpy q builds its entry
         assert cumulant(k, q) == cumulant(20, 8)
         assert cumulants_from_moments(k, q) == cumulants_from_moments(20, 8)
-        assert uniform_correction(12, q) == uniform_correction.__wrapped__(12, 8)
+        assert uniform_correction(12, q) == uncached_uniform_correction(12, 8)
 
     @staticmethod
     def assert_int_coefficients(gp, expected):
@@ -641,9 +648,9 @@ class TestNumpyIntegers:
 
     def test_orders(self):
         order = np.int64(12)
-        uniform_correction.cache_clear()  # so that the numpy order builds its entry
+        uniform_polynomial.cache_clear()  # so that the numpy order builds its entry
         self.assert_int_coefficients(uniform_correction(order, 8),
-                                     uniform_correction.__wrapped__(12, 8))
+                                     uncached_uniform_correction(12, 8))
         closed = cumulants_up_to(14, 8)
         self.assert_int_coefficients(
             correction_from_cumulants(order, closed, closed.gamma(2)),
@@ -674,17 +681,27 @@ class TestNumpyIntegers:
         assert p(2) == 3 + 2**63
         assert (p * Fraction(2**70)).coeffs == (3 * 2**70, 2**132)
 
+    @pytest.mark.filterwarnings("error")  # as -W error: numpy's overflow warning fails
+    def test_fraction_of_numpy_coefficients(self):
+        # Fraction(np.int64(3)).numerator is an np.int64: a Fraction keeps
+        # numpy integers, so RationalPolynomial must convert it too
+        p = RationalPolynomial([Fraction(np.int64(3)), Fraction(np.int64(2**62), np.int64(3))])
+        assert all(type(c.numerator) is int and type(c.denominator) is int
+                   for c in p.coeffs)
+        assert (p + p).coeffs == (6, Fraction(2**63, 3))
+        assert p(3) == 3 + 2**62
+
     def test_hermite_degree(self):
         # _hermite_coeffs caches the int row that the correction builders
         # read, so a numpy degree must not leave an int64 row there
         _hermite_coeffs.cache_clear()
-        want_h, want = hermite(40), uniform_correction.__wrapped__(10, 2)  # H_22..H_40
+        want_h, want = hermite(40), uncached_uniform_correction(10, 2)  # H_22..H_40
         _hermite_coeffs.cache_clear()
         h = hermite(np.int64(40))
         assert h == want_h
         assert all(type(c.numerator) is int for c in h.coeffs)
         assert all(type(c) is int for c in _hermite_coeffs(40))
-        self.assert_int_coefficients(uniform_correction.__wrapped__(10, 2), want)
+        self.assert_int_coefficients(uncached_uniform_correction(10, 2), want)
 
     def test_rate_sweep_order(self):
         harness._joined.cache_clear()

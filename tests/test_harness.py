@@ -26,6 +26,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
+from extbinom._expansion import uniform_polynomial
 from extbinom.harness import SweepRecord, _ols_loglog
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -203,9 +204,9 @@ class TestCachedSums:
 
         def counted(v, q):
             evaluated.append(v)
-            return uniform_correction(v, q)
+            return uniform_polynomial(v, q)
 
-        monkeypatch.setattr(harness, "uniform_correction", counted)
+        monkeypatch.setattr(harness, "uniform_polynomial", counted)
         ns = [50, 100, 200, 400]
         clear_sweep_caches()
         for order in range(6):
