@@ -17,10 +17,12 @@ function takes its integer arguments, and the lowest-terms helpers:
 ``_filled`` makes a ``Fraction`` of a pair already reduced.
 
 This module imports only ``math`` and ``operator``, which the
-interpreter has loaded at start-up, so the CLI's one-shot ``coeff``,
-``row`` and ``expand`` read the recurrence without loading
-``fractions`` or ``extbinom.exact``, whose ``compute_row`` caches each
-row as a ``BigRow``.  Repeated queries against one row belong there.
+interpreter has loaded at start-up, so the CLI's one-shot ``coeff`` and
+``row`` read the recurrence without loading ``fractions`` or
+``extbinom.exact``, whose ``compute_row`` caches each row as a
+``BigRow``.  Repeated queries against one row belong there.  ``expand``
+is one-shot too and builds no row, but its correction kernel
+``extbinom.special`` loads ``fractions``.
 """
 
 from math import gcd

@@ -27,9 +27,9 @@ package or numpy.  ``coeff``, ``row`` and ``expand`` are one-shot: they
 read the recurrence kernel ``extbinom._recurrence`` directly and build
 no cached row, so ``coeff`` and ``row`` load neither ``extbinom.exact``
 nor its ``dataclasses`` and ``fractions``.  ``expand``, ``qpoly`` and
-``cumulants`` read the record-free kernel ``extbinom._expansion``, not
-the ``cumulants`` and ``edgeworth`` modules that wrap it in dataclasses,
-so only ``sweep`` loads ``dataclasses``.
+``cumulants`` read the record-free kernel ``extbinom.special``, not the
+``cumulants`` and ``edgeworth`` modules that wrap it in dataclasses, so
+only ``sweep`` loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def cmd_row(args) -> str:
 
 
 def cmd_expand(args) -> str:
-    from extbinom._expansion import (
+    from extbinom.special import (
         approximate_scaled,
         exact_scaled_value,
         gaussian,
@@ -151,7 +151,7 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_cumulants(args) -> str:
-    from extbinom._expansion import gammas_from_moments, gammas_up_to
+    from extbinom.special import gammas_from_moments, gammas_up_to
 
     gammas = gammas_up_to(args.max_order, args.q)
     rows = [{"k": k, "gamma": gamma} for k, gamma in enumerate(gammas, 1)]
@@ -164,7 +164,7 @@ def cmd_cumulants(args) -> str:
 
 
 def cmd_qpoly(args) -> str:
-    from extbinom._expansion import uniform_polynomial
+    from extbinom.special import uniform_polynomial
 
     poly = uniform_polynomial(args.nu, args.q)
     rows = [

@@ -10,7 +10,7 @@ same values independently from raw moments and the standard
 moment-to-cumulant recursion, and exists purely to cross-validate the
 closed form.
 
-The computations live in the record-free kernel ``extbinom._expansion``,
+The computations live in the record-free kernel ``extbinom.special``,
 which defines ``cumulant``; this module wraps its cumulant tuples in a
 ``CumulantVector``.
 """
@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from extbinom._expansion import (  # cumulant is re-exported
+from extbinom._recurrence import _int
+from extbinom.special import (  # cumulant is re-exported
     cumulant,
     gammas_from_moments,
     gammas_up_to,
 )
-from extbinom._recurrence import _int
 
 
 @dataclass(frozen=True)
@@ -55,5 +55,5 @@ def cumulants_up_to(order: int, q: int) -> CumulantVector:
 
 def cumulants_from_moments(order: int, q: int) -> CumulantVector:
     """Same cumulants derived from raw moments, as an independent check,
-    by ``_expansion.gammas_from_moments``."""
+    by ``special.gammas_from_moments``."""
     return CumulantVector(gammas=gammas_from_moments(order, q))

@@ -27,7 +27,7 @@ condition holds automatically and is not exposed as a parameter.
 
 The builders and the float layer (``gaussian``, ``standardize``,
 ``exact_scaled_value``, ``approximate_scaled``) live in the record-free
-kernel ``extbinom._expansion``, which memoizes each uniform polynomial;
+kernel ``extbinom.special``, which memoizes each uniform polynomial;
 this module wraps each polynomial in a ``GaussianPolynomial`` and
 re-exports the float layer.
 """
@@ -37,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Rational
 
-from extbinom._expansion import (  # the float layer is re-exported
-    SQRT_2PI,
+from extbinom.cumulants import CumulantVector
+from extbinom.special import (  # the float layer is re-exported
+    RationalPolynomial,
     approximate_scaled,
     exact_scaled_value,
     gaussian,
@@ -46,8 +47,6 @@ from extbinom._expansion import (  # the float layer is re-exported
     standardize,
     uniform_polynomial,
 )
-from extbinom.cumulants import CumulantVector
-from extbinom.special import RationalPolynomial
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,12 @@ def correction_from_cumulants(
     order: int, cumulants: CumulantVector, variance: Rational
 ) -> GaussianPolynomial:
     """Correction term of the given order built from raw cumulants, which
-    must reach order + 2: ``_expansion.general_polynomial``.  An odd order
+    must reach order + 2: ``special.general_polynomial``.  An odd order
     raises ValueError unless its every weight is zero."""
     return GaussianPolynomial(poly=general_polynomial(order, cumulants.gammas, variance))
 
 
 def uniform_correction(order: int, q: int) -> GaussianPolynomial:
     """Correction term of the given order for the uniform on {0, ..., q}:
-    ``_expansion.uniform_polynomial``, which is memoized."""
+    ``special.uniform_polynomial``, which is memoized."""
     return GaussianPolynomial(poly=uniform_polynomial(order, q))

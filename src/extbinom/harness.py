@@ -31,7 +31,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from extbinom._recurrence import _check_nq, _int
-from extbinom._expansion import (  # exact_scaled_value is re-exported
+from extbinom.exact import compute_row
+from extbinom.special import (  # exact_scaled_value is re-exported
     _scale,
     approximate_scaled,
     exact_scaled_value,
@@ -39,7 +40,6 @@ from extbinom._expansion import (  # exact_scaled_value is re-exported
     standardize,
     uniform_polynomial,
 )
-from extbinom.exact import compute_row
 
 
 @dataclass(frozen=True)

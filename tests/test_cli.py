@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extbinom
-from extbinom import _expansion, coefficient, compute_row, harness
+from extbinom import coefficient, compute_row, harness, special
 from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -315,8 +315,8 @@ class WorkStarted(Exception):
 # it runs, so a patch there is what the command calls
 WORK = {
     harness: ("rate_sweep",),
-    _expansion: ("approximate_scaled", "exact_scaled_value", "gammas_up_to",
-                 "uniform_polynomial"),
+    special: ("approximate_scaled", "exact_scaled_value", "gammas_up_to",
+              "uniform_polynomial"),
 }
 
 
@@ -445,32 +445,31 @@ def test_scalar_commands_do_not_import_numpy(argv):
     ))
 
 
-LIBRARY = {f"extbinom.{name}" for name in
-           ("cumulants", "edgeworth", "exact", "harness", "special")}
 # coeff and row read the recurrence directly: no cached BigRow, so neither
 # the dataclass machinery nor fractions
-ONE_SHOT = LIBRARY | {"dataclasses", "fractions"}
-# expand, qpoly and cumulants read the record-free kernel _expansion, which
-# loads special but no module that defines a dataclass
-KERNEL = LIBRARY - {"extbinom.special"} | {"dataclasses", "inspect"}
+ONE_SHOT = {"extbinom", "extbinom.cli", "extbinom._recurrence"}
+# expand, qpoly and cumulants read the record-free kernel special, which
+# defines no dataclass; only sweep loads exact and harness
+KERNEL = ONE_SHOT | {"extbinom.special"}
+SWEEP = KERNEL | {"extbinom.exact", "extbinom.harness"}
 
 
 @pytest.mark.parametrize(
-    "command,absent",
+    "command,modules,absent",
     [
-        ("coeff 4 4 2", ONE_SHOT | {"json", "csv"}),
-        ("coeff 4 4 2 --json", ONE_SHOT),
-        ("row 2 2", ONE_SHOT),
-        ("row 2 2 --json", ONE_SHOT),
-        ("expand 100 90 2 --order 1 --terms", KERNEL),
-        ("cumulants 2 --max-order 4 --oracle", KERNEL),
-        ("qpoly 2 --nu 1", KERNEL),
-        ("sweep 2 --order 1 --n-list 50,100,200", set()),
+        ("coeff 4 4 2", ONE_SHOT, {"dataclasses", "fractions", "json", "csv"}),
+        ("coeff 4 4 2 --json", ONE_SHOT, {"dataclasses", "fractions"}),
+        ("row 2 2", ONE_SHOT, {"dataclasses", "fractions"}),
+        ("row 2 2 --json", ONE_SHOT, {"dataclasses", "fractions"}),
+        ("expand 100 90 2 --order 1 --terms", KERNEL, {"dataclasses", "inspect"}),
+        ("cumulants 2 --max-order 4 --oracle", KERNEL, {"dataclasses", "inspect"}),
+        ("qpoly 2 --nu 1", KERNEL, {"dataclasses", "inspect"}),
+        ("sweep 2 --order 1 --n-list 50,100,200", SWEEP, set()),
     ],
     ids=["coeff", "coeff-json", "row", "row-json", "expand", "cumulants", "qpoly",
          "sweep"],
 )
-def test_command_loads_only_what_it_runs(command, absent):
+def test_command_loads_only_what_it_runs(command, modules, absent):
     # the rest of the library is start-up time a command does not need;
     # numpy is most of it, and only sweep evaluates floats over whole rows
     argv = command.split()
@@ -478,6 +477,8 @@ def test_command_loads_only_what_it_runs(command, absent):
         "import sys\n"
         "from extbinom.cli import main\n"
         f"assert main({argv!r}) == 0\n"
+        "package = sorted(m for m in sys.modules if m.split('.')[0] == 'extbinom')\n"
+        f"assert package == {sorted(modules)!r}, package\n"
         f"loaded = sorted(set(sys.modules) & set({sorted(absent)!r}))\n"
         "assert not loaded, loaded\n"
         f"assert ('numpy' in sys.modules) == {argv[0] == 'sweep'}, 'numpy'\n"

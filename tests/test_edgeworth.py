@@ -26,9 +26,8 @@ from extbinom import (
     standardize,
     uniform_correction,
 )
-from extbinom._expansion import uniform_polynomial
 from extbinom.harness import _scale
-from extbinom.special import _hermite_coeffs
+from extbinom.special import _hermite_coeffs, uniform_polynomial
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 

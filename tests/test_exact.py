@@ -51,8 +51,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom._expansion import uniform_polynomial
-from extbinom.special import _hermite_coeffs
+from extbinom.special import _hermite_coeffs, uniform_polynomial
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -7,6 +7,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom._expansion import uniform_polynomial
 from extbinom.harness import SweepRecord, _ols_loglog
+from extbinom.special import uniform_polynomial
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -422,6 +423,68 @@ class TestCentralExpansion:
         gaps = [abs(self.t(n, q, v_top) - 1) for n in ns]
         assert all(gap <= self.C / n for gap, n in zip(gaps, ns)), gaps
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def decimal_value(poly, x):
+    """poly at a Decimal x by Horner's scheme, at the context's precision."""
+    acc = Decimal(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + Decimal(c.numerator) / c.denominator
+    return acc
+
+
+@lru_cache(maxsize=None)
+def off_centre_point(n, q, j):
+    """At k = nq/2 + round(j sigma sqrt(n)): the exact scaled value, phi(x)
+    and P_1(x)..P_11(x), in 100-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        k = n * q // 2 + round(j * math.sqrt(q * (q + 2) * n / 12))
+        c, c_shift = top_bits(_recurrence.coefficient(n, k, q))
+        total, total_shift = top_bits((q + 1) ** n)
+        scale = (Decimal(n * q * (q + 2)) / 12).sqrt()  # sqrt(n sigma^2)
+        scaled = Decimal(c) / Decimal(total) * Decimal(2) ** (c_shift - total_shift) * scale
+        x = (k - Decimal(n * q) / 2) / scale
+        phi = (-x * x / 2).exp() / (2 * decimal_pi()).sqrt()
+        return scaled, phi, [decimal_value(uniform_polynomial(v, q), x) for v in range(1, 12)]
+
+
+class TestOffCentreExpansion:
+    """The complete expansion off the centre, where the odd Hermite terms
+    count too: at k = nq/2 + round(j sigma sqrt(n)), x is about j, and
+    after V terms the residual
+
+        R_V = ratio * sqrt(n sigma^2) - phi(x) (1 + sum_{v<=V} P_v(x) n^-v)
+
+    is phi(x) P_{V+1}(x) n^-(V+1) to leading order, so
+    t_V(n) = R_V / (phi(x) P_{V+1}(x) / n^(V+1)) tends to 1 like 1/n.  As at
+    the centre, the ratio is formed from the top 400 bits and the rest at
+    100 digits; the terms beyond all orders, exponentially small in n, are
+    below 3^-1000 at these n.  Rounding k moves x with n, so |t_V - 1| need
+    not fall at each doubling, only from n = 1000 to 4000; and t_V is
+    ill-conditioned near a root of P_{V+1}, so |P_{V+1}(x)| must clear a
+    floor at every point read."""
+
+    C = 180  # max |t_V - 1| * n over the grid is 135.9, at q = 2, j = 3, V = 10
+    FLOOR = 0.01  # min |P_{V+1}(x)| over the grid is 0.019, at q = 1, j = 1, V = 3
+
+    @pytest.mark.parametrize("v_top", [3, 6, 10])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    def test_next_term_leads_the_residual(self, q, j, v_top):
+        ns = [1000, 2000, 4000]
+        gaps = []
+        for n in ns:
+            scaled, phi, p = off_centre_point(n, q, j)
+            assert abs(p[v_top]) > self.FLOOR, (n, p[v_top])
+            with localcontext() as ctx:
+                ctx.prec = 100
+                series = 1 + sum(pv / Decimal(n) ** v for v, pv in enumerate(p[:v_top], 1))
+                residual = scaled - phi * series
+                t = residual * Decimal(n) ** (v_top + 1) / (phi * p[v_top])
+            gaps.append(abs(t - 1))
+        assert all(gap <= self.C / n for gap, n in zip(gaps, ns)), gaps
+        assert gaps[2] < gaps[0], gaps
 
 
 class TestFirstOrderCrossCheck:
