@@ -10,19 +10,10 @@ big-integer steps.  ``prefix`` is the one loop; ``row`` mirrors its
 first half into a whole row, and ``coefficient`` reads one value from
 the shorter side of the row's symmetry, a_k = a_{nq-k}.
 
-The module also holds what every layer shares: the integer-argument
-gate ``_int`` (and ``_check_nq`` for n and q), through which each public
-function takes its integer arguments, and the lowest-terms helpers:
-``_reduced`` brings an int pair to lowest terms by one gcd, and
-``_filled`` makes a ``Fraction`` of a pair already reduced.
-
-This module imports only ``math`` and ``operator``, which the
-interpreter has loaded at start-up, so the CLI's one-shot ``coeff`` and
-``row`` read the recurrence without loading ``fractions`` or
-``extbinom.exact``, whose ``compute_row`` caches each row as a
-``BigRow``.  Repeated queries against one row belong there.  ``expand``
-is one-shot too and builds no row, but its correction kernel
-``extbinom.special`` loads ``fractions``.
+The module also holds the integer-argument gate and the lowest-terms
+helpers that every layer shares.  It imports only ``math`` and
+``operator``, which the interpreter loads at start-up, so that the CLI's
+``coeff`` and ``row`` read the recurrence without loading ``fractions``.
 """
 
 from math import gcd

@@ -16,20 +16,20 @@ MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
 runs.  A failed write, to --out or to stdout, or a closed stdout, also
 exits 2, and so does an error whose ``error:`` line stderr cannot take.
 
-The console script and ``python -m extbinom.cli`` both run
-``entrypoint``, which calls ``main`` and then ends the process without
-the interpreter's teardown (see its docstring).
+A short command's time is mostly start-up, so each subcommand imports,
+when it runs, only the library code it calls, and ``_render`` only the
+module of the format it writes (``json`` or ``csv``):
 
-Each subcommand imports, when it runs, only the library functions it
-calls, and ``_render`` only the module of the format it writes, so a
-short command such as ``coeff`` starts without loading the rest of the
-package or numpy.  ``coeff``, ``row`` and ``expand`` are one-shot: they
-read the recurrence kernel ``extbinom._recurrence`` directly and build
-no cached row, so ``coeff`` and ``row`` load neither ``extbinom.exact``
-nor its ``dataclasses`` and ``fractions``.  ``expand``, ``qpoly`` and
-``cumulants`` read the record-free kernel ``extbinom.special``, not the
-``cumulants`` and ``edgeworth`` modules that wrap it in dataclasses, so
-only ``sweep`` loads ``dataclasses``.
+* ``coeff`` and ``row`` read the recurrence kernel
+  ``extbinom._recurrence`` alone: no ``extbinom.exact``, ``fractions`` or
+  ``dataclasses``;
+* ``expand``, ``qpoly`` and ``cumulants`` read the record-free kernel
+  ``extbinom.special``, which loads ``fractions``: no ``dataclasses``, nor
+  the ``cumulants`` and ``edgeworth`` modules that wrap the kernel;
+* ``sweep`` alone loads ``extbinom.exact``, ``extbinom.harness``,
+  ``dataclasses`` and numpy.
+
+``coeff``, ``row`` and ``expand`` are one-shot and build no cached row.
 """
 
 from __future__ import annotations
@@ -335,8 +335,8 @@ def entrypoint() -> NoReturn:
     interpreter's teardown: wait for non-daemon threads, run the
     ``atexit`` callbacks, flush sys.stdout and sys.stderr, then finalise
     every module and run a last garbage collection, which reports each
-    file left open with a ``ResourceWarning``.  ``coeff 4 4 2`` spent
-    about 15 ms of its 0.1 s there (2-vCPU box, Python 3.11).
+    file left open with a ``ResourceWarning``.  For a short command such
+    as ``coeff 4 4 2``, that takes longer than its imports and work.
 
     This function runs the ``atexit`` callbacks and flushes the two
     streams itself, then ends with ``os._exit``, which Python's docs

@@ -1,18 +1,9 @@
-"""Cumulants of the uniform distribution on {0, ..., q}, exact.
+"""Cumulants of the uniform distribution on {0, ..., q}, exact: by the
+closed form, and from raw moments to cross-validate it.
 
-The production path is the closed form: gamma_1 = q/2, every odd
-cumulant above the first vanishes, and
-
-    gamma_{2l} = B_{2l} / (2l) * ((q+1)^{2l} - 1)
-
-with B the Bernoulli numbers.  ``cumulants_from_moments`` derives the
-same values independently from raw moments and the standard
-moment-to-cumulant recursion, and exists purely to cross-validate the
-closed form.
-
-The computations live in the record-free kernel ``extbinom.special``,
-which defines ``cumulant``; this module wraps its cumulant tuples in a
-``CumulantVector``.
+The computations are in the record-free kernel ``extbinom.special``,
+which the CLI reads without loading ``dataclasses``; this module wraps
+its cumulant tuples in a ``CumulantVector``.
 """
 
 from __future__ import annotations

@@ -7,39 +7,10 @@ of n integers from {0, ..., q}; dividing by (q+1)**n turns a row into
 the point probabilities of a sum of n independent uniforms on
 {0, ..., q}.
 
-``compute_row`` builds a row from the three-term recurrence in
-``extbinom._recurrence`` (J.C.P. Miller's recurrence for powers of a
-series, Knuth TAOCP Vol. 2 section 4.7), so a row costs O(n * q)
-big-integer steps; it builds only the first half and mirrors it, since
-rows are symmetric.  ``iter_rows`` keeps the running window sum
-(multiply by the base polynomial), an independent route that costs
-O(n * q) additions per row.  All functions are pure; ``compute_row``
-memoizes through ``functools.lru_cache``, which is thread-safe and
-returns immutable rows, so the point queries here (``coefficient``,
-``scaled_probability``, ``composition_count``) read a cached row.  A
-single query is cheaper from ``_recurrence.coefficient``, which computes
-no value past the one it returns; the CLI's ``coeff`` uses it.  Each
-row carries its sum ``total`` = (q+1)**n, computed on first use;
-``scaled_probability`` divides by it in lowest terms without a gcd over
-the full pair.
-
-Rows differ in size by orders of magnitude (a (50, 12) row takes about
-18 KB, a (20000, 2) row 63 MB), so the row cache is bounded by size,
-not by a count of rows.  ``compute_row`` is an unbounded ``lru_cache``,
-whose hits stay in its C code, and each miss adds an O(1) estimate of
-the new row's size to a running total.  When the total would pass
-``ROW_CACHE_BITS`` (2**31 bits, 256 MiB), the miss empties the whole
-cache and the count starts again at the new row, so the rows held never
-take more than the budget plus one row.  The budget holds every
-benchmark workload's rows about 90 times over and three (20000, 2) rows
-at once.  Emptying everything keeps
-every lookup on the C hit path, about 0.1 µs; evicting by size in
-least-recently-used order needs a Python-level cache, about 0.5 µs per
-lookup under its lock (timeit, Python 3.11, 2 vCPUs), and a ``rows``
-query of the benchmark makes 96 lookups.  ``cache_info()`` counts the
-hits and misses since the cache was last emptied.  A lock makes each
-update of the running total atomic, so concurrent misses stay within
-the budget plus one row per thread.
+``compute_row`` builds a row by the recurrence of
+``extbinom._recurrence`` and caches it within a budget of bits, and the
+point queries read the cached row.  ``iter_rows`` is a route by window
+sums, independent of the recurrence.
 """
 
 from __future__ import annotations
@@ -89,8 +60,7 @@ def _window_step(row: list[int], q: int) -> list[int]:
     return out
 
 
-# The row cache's budget in bits of ``_row_bits`` estimates, 256 MiB.  The
-# benchmark's ``rows`` workload holds the most, 87 rows of about 3 MB.
+# the row cache's budget in bits of ``_row_bits`` estimates (see compute_row)
 ROW_CACHE_BITS = 2**31
 
 _held_bits = 0  # estimated size of the rows cached since the last flush
@@ -113,11 +83,7 @@ def _row_bits(coeffs: tuple[int, ...]) -> int:
 
 
 def _hold(coeffs: tuple[int, ...]) -> None:
-    # Count a row that is about to be cached, first emptying the cache if
-    # the row would take it past the budget.  The lock makes each update
-    # of the count atomic; a row built by another thread between its own
-    # count and its insertion can outlive a flush uncounted, so under
-    # concurrent misses the bound is the budget plus one row per thread.
+    # count a row about to be cached, under compute_row's flush rule
     global _held_bits
     bits = _row_bits(coeffs)
     with _held_lock:
@@ -132,19 +98,24 @@ def _hold(coeffs: tuple[int, ...]) -> None:
 
 @lru_cache(maxsize=None)
 def compute_row(n: int, q: int) -> BigRow:
-    """Exact coefficient row of ``(1 + x + ... + x^q)**n``.
+    """Exact coefficient row of ``(1 + x + ... + x^q)**n``, built by the
+    recurrence in O(n * q) big-integer steps and cached.
 
-    Rows are cached until their estimated sizes (``_row_bits``) would
-    pass ``ROW_CACHE_BITS``, 2**31 bits, which every benchmark workload
-    fits under with a wide margin.  The miss that would pass it empties
-    the whole cache first, rather than evicting by size, so that hits
-    stay in ``lru_cache``'s C code; the rows held never take more than
-    the budget plus one row (one row per thread that misses at the same
-    time, since the running total is updated under a lock).
-    ``cache_info()`` counts the hits and misses since the cache was last
-    emptied, by such a flush or by ``cache_clear()``; the miss that
-    flushes is counted before the flush, so right after one the cache
-    holds one row and counts no miss.
+    Rows range from about 18 KB at (50, 12) to 63 MB at (20000, 2), so the
+    cache is bounded by the rows' estimated bits (``_row_bits``), not by
+    their count.  Each miss adds its row's estimate to a running total;
+    the miss that would take the total past ``ROW_CACHE_BITS``, 256 MiB
+    (three (20000, 2) rows, and every benchmark workload's rows about 90
+    times over), first empties the whole cache, and the count starts
+    again at the new row.  Emptying everything, not evicting by size,
+    keeps every hit in ``lru_cache``'s C code.  The rows held never take
+    more than the budget plus one row.  The total is updated under a
+    lock, but a row built by another thread between its count and its
+    insertion can outlive a flush uncounted, so concurrent misses can add
+    one row per thread.  ``cache_info()`` counts the hits and misses since
+    the last flush or ``cache_clear()``; the miss that flushes is counted
+    before the flush, so right after one the cache holds one row and
+    counts no miss.
     """
     n, q = _check_nq(n, q)
     coeffs = _row(n, q)

@@ -5,19 +5,8 @@ sqrt(q*(q+2)*n/12) * coefficient / (q+1)**n with the integer ratio
 formed exactly and converted to floating point in one step, so there is
 no cancellation even when (q+1)**n has hundreds of digits.  The sup is
 taken over the support {0, ..., n*q}; outside it the exact value is 0
-and the approximation's tail there is far below the errors inside: at
-(n, q) = (50, 1) it is 7.2e-13 at k = -1 (3.1e-12 at order 2), against a
-sup error of 2.0e-3 (4.5e-7 at order 2).
-
-A sweep's order-independent arrays over k = 0..n*q//2 for each of its
-n are memoized in one LRU entry keyed by (ns, q): the exact scaled
-values, the standardized points x and the Gaussian density at x, three
-read-only float arrays, 24 bytes per point, smaller than the integer
-rows they come from.  The half rows of all n are joined end to end; a
-one-row table is that row's own arrays, with no copy.  The sum of the
-corrections up to each order is kept in four entries (8 bytes per
-point), so a sweep over orders 0, 1, 2, ... converts each row once and
-evaluates each correction polynomial once, over the half rows of all n.
+and the approximation's tail there is orders of magnitude below the
+errors inside.
 
 All operations are pure, and every cache is an lru_cache (thread-safe)
 of read-only arrays, so calls are safe to run concurrently.
@@ -33,6 +22,7 @@ from typing import Sequence
 from extbinom._recurrence import _check_nq, _int
 from extbinom.exact import compute_row
 from extbinom.special import (  # exact_scaled_value is re-exported
+    _over_lcm,
     _scale,
     approximate_scaled,
     exact_scaled_value,
@@ -44,6 +34,8 @@ from extbinom.special import (  # exact_scaled_value is re-exported
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """The sup error of one n of a sweep and the first k attaining it."""
+
     n: int
     sup_error: float
     argmax_k: int
@@ -66,11 +58,9 @@ class SweepReport:
 def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     """Sup over k in {0, ..., n*q} of |exact scaled value - approximation|
     and the first k attaining it, evaluated over k = 0..n*q//2 only: the
-    row and every correction are even about n*q/2.  The exact values, x
-    and the Gaussian density come from the sweep cache, keyed here by
-    ((n,), q), so only the correction polynomials are evaluated per
-    order; every value has the bits of ``approximate_scaled`` at each k.
-    It is the one-row case of ``rate_sweep``'s evaluation."""
+    row and every correction are even about n*q/2.  Every value has the
+    bits of ``approximate_scaled`` at each k.  It is the one-row case of
+    ``rate_sweep``'s evaluation, and shares its caches."""
     n, q = _check_nq(n, q)
     return _sup_errors((n,), q, _int(order, "order", 0))[0]
 
@@ -93,7 +83,9 @@ def _joined(ns: tuple[int, ...], q: int):
     """The order-independent arrays over k = 0..n*q//2 of every n in ns,
     end to end and read-only since every caller shares them: the exact
     scaled values, x = standardize(n, k, q) and gaussian(x), and each
-    row's length."""
+    row's length.  The float arrays take 24 bytes per point, less than the
+    integer rows they come from; a one-row table is that row's own arrays,
+    with no joined copy."""
     import numpy as np
 
     rows = []
@@ -114,7 +106,9 @@ def _joined(ns: tuple[int, ...], q: int):
 def _partial_sum(ns: tuple[int, ...], q: int, order: int):
     """sum_{v=1}^{order} P_v(x) / n**v over _joined(ns, q)'s x, read-only:
     the sum of order - 1 plus P_order(x) over each row's float(n**order),
-    the float numpy takes from the int n**order, so every bit is kept."""
+    the float numpy takes from the int n**order, so every bit is kept.
+    Four entries of 8 bytes per point let a sweep over orders 0, 1, 2, ...
+    evaluate each correction polynomial once."""
     if order == 0:
         return 0.0
     import numpy as np
@@ -129,11 +123,11 @@ def _partial_sum(ns: tuple[int, ...], q: int, order: int):
 def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
     """Measure uniform_error over n_list and fit the empirical decay rate.
 
-    Each correction polynomial is evaluated once over the half rows of
-    all n, end to end, and every record has the bits of its own
-    ``uniform_error(n, q, order)``.  For the uniform case the expected
-    slope is -(order + 1), the power of the first dropped correction
-    term.  Requires at least 3 strictly increasing n values.
+    Every record has the bits of its own ``uniform_error(n, q, order)``,
+    and each correction polynomial is evaluated once over the half rows
+    of all n.  For the uniform case the expected slope is -(order + 1),
+    the power of the first dropped correction term.  Requires at least 3
+    strictly increasing n values.
     """
     # ints: a numpy int64 n**v wraps
     ns = tuple(_int(n, "n") for n in n_list)
@@ -160,11 +154,12 @@ def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:
 def _ols_loglog(ns: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(n) and its standard
     error, exactly from the float logs: each is an int over a power of two,
-    so the sums are exact ints, the slope is one correctly rounded int/int
-    division and the stderr the sqrt of another.  No numpy, so no LAPACK."""
+    so over their lcm the sums are exact ints, the slope is one correctly
+    rounded int/int division and the stderr the sqrt of another.  No
+    numpy, so no LAPACK."""
     m = len(ns)
-    xs, dx = _over_power_of_two([math.log(n) for n in ns])
-    ys, dy = _over_power_of_two([math.log(e) for e in errors])
+    dx, xs = _over_lcm([math.log(n).as_integer_ratio() for n in ns])
+    dy, ys = _over_lcm([math.log(e).as_integer_ratio() for e in errors])
     sx, sy = sum(xs), sum(ys)
     sxx = m * sum(a * a for a in xs) - sx * sx
     sxy = m * sum(a * b for a, b in zip(xs, ys)) - sx * sy
@@ -173,13 +168,6 @@ def _ols_loglog(ns: Sequence[int], errors: Sequence[float]) -> tuple[float, floa
     # the slope's variance s^2 / sum((x - mean)^2); by Cauchy-Schwarz never < 0
     var = (syy * sxx - sxy * sxy) * dx * dx / ((m - 2) * sxx * sxx * dy * dy)
     return slope, math.sqrt(var)
-
-
-def _over_power_of_two(values: list[float]) -> tuple[list[int], int]:
-    """Ints N_i and one power of two d with values[i] == N_i / d exactly."""
-    pairs = [v.as_integer_ratio() for v in values]
-    d = max(b for _, b in pairs)
-    return [a * (d // b) for a, b in pairs], d
 
 
 def central_ratio(n: int, q: int) -> float:

@@ -1,57 +1,18 @@
 """Exact-rational kernel of the correction layer, with no result record:
-polynomials, Bernoulli numbers, probabilist's Hermite polynomials,
-constrained multiplicity vectors, the cumulants of the uniform on
-{0, ..., q}, the correction polynomials and the float layer that
-evaluates them.
+polynomials, Bernoulli numbers, probabilist's Hermite polynomials, the
+cumulants of the uniform on {0, ..., q}, the correction polynomials and
+the float layer that evaluates them.
 
-This module imports neither ``dataclasses`` nor numpy at module level
-(numpy only when ``gaussian`` gets an array), so the CLI's ``expand``,
-``qpoly`` and ``cumulants`` call it directly, as ``coeff`` and ``row``
-call ``_recurrence``.  ``cumulants`` wraps its cumulant tuples in a
-``CumulantVector`` and ``edgeworth`` each correction polynomial in a
-``GaussianPolynomial``; both records are frozen dataclasses.
+It imports neither ``dataclasses`` nor, at module level, numpy, so that
+the CLI's ``expand``, ``qpoly`` and ``cumulants`` load nothing more;
+``cumulants`` and ``edgeworth`` wrap its results in frozen dataclasses.
 
-Conventions
------------
-* Rationals are ``fractions.Fraction`` throughout (always lowest terms,
-  positive denominator).  Those built from an int pair in bulk, the
-  coefficients of a correction polynomial and the cumulants derived from
-  moments, come from ``_fraction``, which reduces the pair by one gcd
-  and fills the Fraction's slots directly, through the helpers
-  ``_recurrence._reduced`` and ``_filled`` that ``exact`` shares.
-* Bernoulli numbers follow the generating function ``t / (e^t - 1)``,
-  so ``B_1 = -1/2``.  Only even indices are consumed downstream, where
-  both common sign conventions agree.
-* Hermite polynomials are the probabilist's family, orthogonal for the
-  weight ``exp(-x^2/2)``: ``H_2 = x^2 - 1``.  This is NOT the
-  physicist's family (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).  Their
-  coefficients are integers, read off the closed form (DLMF section
-  18.5).
-
-Cumulants: the closed form ``cumulant`` and, to cross-validate it, the
-moment route ``gammas_from_moments``.
-
-Correction polynomials: P = sum_s w_s H_{d_s}, one Hermite polynomial
-per part count s.  The weight w_s is a partial Bell polynomial in the
-cumulant bases g_k = gamma_{k+2} / (k+2)!, ``[t^v] G(t)^s / s!`` for the
-power series G(t) = sum_k g_k t^k (Comtet, Advanced Combinatorics, 1974,
-section 3.3), read off a power series instead of summed over the
-partitions of v.  The two builders, ``general_polynomial`` and
-``uniform_polynomial``, take these bases and differ only in their series
-algorithm, which runs in integers over the bases' common denominator;
-the sum over s is formed in integers over that of the weights (the
-Hermite coefficients are integers, each row built once by the memoized
-``_hermite_coeffs``).  Bases and weights stay reduced int pairs; a
-Fraction is built per nonzero output coefficient, by ``_fraction``.
-
-Floats: coefficients stay rational until a double-precision Horner
-evaluates them, in two places with the same bits.  ``approximate_scaled``
-takes it times ``gaussian(x)`` at ``x = standardize(n, k, q)``, for one
-k or elementwise over an array of k; the harness evaluates each
-polynomial itself over a sweep's joined x.  ``exact_scaled_value`` is
-the exact side of one comparison, the scaled coefficient that
-``approximate_scaled`` approximates, read from the recurrence kernel
-without building a row.
+Conventions: rationals are ``fractions.Fraction`` in lowest terms.
+Bernoulli numbers follow the generating function ``t / (e^t - 1)``, so
+``B_1 = -1/2``; only even indices are consumed downstream, where both
+sign conventions agree.  Hermite polynomials are the probabilist's
+family, orthogonal for the weight ``exp(-x^2/2)``: ``H_2 = x^2 - 1``,
+NOT the physicist's (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).
 """
 
 from __future__ import annotations
@@ -62,19 +23,15 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from numbers import Rational, Real
 from operator import add, index, mul
-from typing import Iterable, Union
+from typing import Iterable
 
 from extbinom._recurrence import _check_nq, _filled, _int, _reduced
 from extbinom._recurrence import coefficient as _coefficient
 
-Scalar = Union[int, Fraction]
-
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
-    """Fraction(numerator, denominator) for ints with denominator >= 1:
-    the pair reduced by one gcd (``_recurrence._reduced``), its slots
-    filled without running ``Fraction.__new__`` (``_recurrence._filled``).
-    """
+    """Fraction(numerator, denominator) for ints with denominator >= 1, by
+    one gcd and without running ``Fraction.__new__``."""
     numerator, denominator = _reduced(numerator, denominator)
     return _filled(Fraction, numerator, denominator)
 
@@ -91,9 +48,11 @@ def _ratio(value, name: str) -> tuple[int, int]:
 
 
 def _exact(c) -> Fraction:
-    """A polynomial coefficient other than an exact Fraction, as a
-    Fraction of Python ints: a float exactly, any other value by
-    ``_ratio``."""
+    """A polynomial coefficient as a Fraction of Python ints: such a
+    Fraction as it is (it is immutable), a float exactly, any other value
+    by ``_ratio``, which refuses what is not a ``numbers.Rational``."""
+    if type(c) is Fraction and type(c.numerator) is int and type(c.denominator) is int:
+        return c
     if isinstance(c, float):
         return Fraction(c)
     return _fraction(*_ratio(c, "a coefficient"))
@@ -104,15 +63,13 @@ class RationalPolynomial:
     coefficient of x**i.
 
     Trailing zero coefficients are stripped on construction, so equal
-    polynomials always compare equal.  A coefficient of type exactly
-    Fraction whose numerator and denominator are Python ints is kept as
-    it is (it is immutable); a float is converted exactly; any other
-    ``numbers.Rational`` (an int, a bool, a numpy integer, a Fraction of
-    numpy integers, a Fraction subclass) becomes the Fraction of its
-    numerator and denominator as Python ints, and anything else raises
-    TypeError.  The correction builders, whose Fractions are all of
-    Python ints, construct through ``_of_fractions``, which skips that
-    check.
+    polynomials always compare equal.  Each coefficient becomes a Fraction
+    of Python ints (``_exact``): a float exactly, any other
+    ``numbers.Rational`` by its numerator and denominator, and anything
+    else raises TypeError.  The correction builders, whose Fractions are
+    all of Python ints, construct through ``_of_fractions``, which skips
+    that conversion.
+
     Evaluation at int or Fraction points is exact; at anything else
     (floats, numpy arrays) it runs a floating Horner scheme on float
     coefficients converted once, on the first such call, stepping in
@@ -128,13 +85,8 @@ class RationalPolynomial:
 
     __slots__ = ("coeffs", "_floats")
 
-    def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        self._fill([
-            c if type(c) is Fraction
-            and type(c.numerator) is int and type(c.denominator) is int
-            else _exact(c)
-            for c in coeffs
-        ])
+    def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
+        self._fill([_exact(c) for c in coeffs])
 
     @classmethod
     def _of_fractions(cls, coeffs: list[Fraction]) -> "RationalPolynomial":
@@ -231,15 +183,15 @@ def hermite(m: int) -> RationalPolynomial:
 
 @lru_cache(maxsize=None, typed=True)
 def _hermite_coeffs(m: int) -> tuple[int, ...]:
-    """The integer coefficients of H_m, that of x**i at index i.
+    """The integer coefficients of H_m, that of x**i at index i, as a
+    tuple that every caller shares, memoized: the correction builders of
+    orders 1..V for one q share most degrees.
 
     Closed form (DLMF section 18.5): the coefficient of x^(m-2j) is
     (-1)^j m! / (j! (m-2j)! 2^j) for j = 0..m//2, and every coefficient
     of the other parity is zero.  Each coefficient follows from the
     previous one by an exact integer step, so H_m costs O(m) integer
-    operations.  Memoized, since the correction builders read these ints
-    and the builders of orders 1..V for one q share most degrees; an
-    immutable tuple, so every caller can share it.
+    operations.
     """
     m = _int(m, "m", 0)
     coeffs = [0] * (m + 1)
@@ -254,29 +206,22 @@ def _hermite_coeffs(m: int) -> tuple[int, ...]:
 def enumerate_partition_solutions(order: int) -> list[tuple[int, ...]]:
     """All nonnegative (k_1, ..., k_order) with k_1 + 2*k_2 + ... = order.
 
-    One solution per integer partition of ``order``.  Emitted by
-    recursive descent on the largest part index; callers must not rely
-    on the order (set semantics).  The correction builders no longer
-    enumerate partitions: this serves the tests as the oracle for their
-    power series, and the benchmark as a partition counter.
+    One solution per integer partition of ``order``, in no promised
+    order.  The tests' oracle for the correction builders' power series,
+    and the benchmark's partition counter.
     """
     order = _int(order, "order")
-    out: list[tuple[int, ...]] = []
-    ks = [0] * order
+    return list(_partitions(order, order))
 
-    def descend(m: int, remaining: int) -> None:
-        if m == 1:
-            ks[0] = remaining
-            out.append(tuple(ks))
-            ks[0] = 0
-            return
-        for k in range(remaining // m + 1):
-            ks[m - 1] = k
-            descend(m - 1, remaining - m * k)
-        ks[m - 1] = 0
 
-    descend(order, order)
-    return out
+def _partitions(m: int, remaining: int, tail: tuple[int, ...] = ()):
+    # the solutions (k_1, ..., k_m) of k_1 + 2*k_2 + ... + m*k_m = remaining,
+    # each followed by tail, by descent on the largest part index m
+    if m == 1:
+        yield (remaining, *tail)
+        return
+    for k in range(remaining // m + 1):
+        yield from _partitions(m - 1, remaining - m * k, (k, *tail))
 
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -292,7 +237,7 @@ def cumulant(k: int, q: int) -> Fraction:
         return Fraction(0)
     # k = 2l: gamma_k = B_k / k * ((q+1)^k - 1)
     b = bernoulli(k)
-    return Fraction(b.numerator * ((q + 1) ** k - 1), b.denominator * k)
+    return _fraction(b.numerator * ((q + 1) ** k - 1), b.denominator * k)
 
 
 def gammas_up_to(order: int, q: int) -> tuple[Fraction, ...]:
@@ -313,10 +258,6 @@ def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
     and Gamma_k = gamma_k Q^k:
 
         Gamma_k = M_k - sum_{j=1..k-1} C(k-1, j-1) Gamma_j M_{k-j}
-
-    and each cumulant is returned as Gamma_k / Q**k, reduced by one gcd
-    in ``_fraction``.  The binomials come from Pascal rows
-    carried from one k to the next.
     """
     order, q = _int(order, "cumulant order"), _int(q, "q")
     big_q = q + 1
@@ -394,9 +335,7 @@ def _hermite_sum(weights: dict[int, tuple[int, int]]) -> RationalPolynomial:
     The Hermite coefficients are integers, so every weight is brought to
     the lcm D of the weights' denominators, each coefficient is summed as
     an int, and each nonzero sum becomes one ``_fraction(sum, D)``; the
-    zero ones, half of them by parity, share one Fraction(0).  These are
-    Fractions of Python ints, so ``RationalPolynomial._of_fractions``
-    takes them without a check.
+    zero ones, half of them by parity, share one Fraction(0).
     """
     den, scales = _over_lcm(list(weights.values()))
     coeffs = [0] * (max(weights, default=0) + 1)
@@ -419,7 +358,10 @@ def general_polynomial(order: int, gammas, variance: Rational) -> RationalPolyno
 
     with G(t) = sum_k g_k t^k and g_k = gamma_{k+2} / (k+2)!  (Petrov,
     Sums of Independent Random Variables, 1975, ch. VI).  The weights
-    [t^order] G^s / s! are the coefficients of y^s in F_order(y), where
+    [t^order] G^s / s!, partial Bell polynomials in the g_k (Comtet,
+    Advanced Combinatorics, 1974, section 3.3), are read off a power
+    series instead of summed over the partitions of order: they are the
+    coefficients of y^s in F_order(y), where
     F(t, y) = exp(y G(t)) = sum_n F_n(y) t^n obeys the J.C.P. Miller
     recurrence n F_n = y sum_k k g_k F_{n-k}, F_0 = 1 (Knuth, TAOCP
     Vol. 2, section 4.7); the k with g_k = 0 are skipped.  It runs in
@@ -478,19 +420,19 @@ def uniform_polynomial(order: int, q: int) -> RationalPolynomial:
     """Polynomial part of the correction term of the given order for the
     uniform on {0, ..., q}, memoized: ``approximate_scaled`` reads it for
     every k, and its float coefficients are converted once per entry.
+    Its bases are those of ``general_polynomial``, which the tests check
+    it against; only the series algorithm differs.
 
     The polynomial part is
 
         sum_s  sigma^(-2(order+s)) * [t^order] G(t)^s / s!  *  H_{2(order+s)}(x)
 
-    with sigma^2 = ``cumulant(2, q)`` and G(t) = sum_{m>=1} g_{2m} t^m: the
-    bases g_k = gamma_{k+2} / (k+2)! of ``general_polynomial`` at even k,
-    from the Bernoulli closed form in ``cumulant``.  Only the series
-    algorithm differs from that route: the bases are brought to their
-    common denominator L, so G = N(t) / L with integer N, and the
-    successive powers N^s, truncated at t^order, are integer polynomials:
-    [t^order] G^s = [t^order] N^s / L^s.  Even degree 2*(order + s_max),
-    even powers of x only.
+    with sigma^2 = ``cumulant(2, q)`` and G(t) = sum_{m>=1} g_{2m} t^m,
+    the bases g_k = gamma_{k+2} / (k+2)! at even k (the odd cumulants
+    vanish).  Over the bases' common denominator L, G = N(t) / L with
+    integer N, and the successive powers N^s, truncated at t^order, are
+    integer polynomials: [t^order] G^s = [t^order] N^s / L^s.  Even
+    degree 2*(order + s_max), even powers of x only.
     """
     order = _int(order, "order")  # q reaches only cumulant, which gates it
     # cumulant's Fractions are built from Python ints: no _ratio needed

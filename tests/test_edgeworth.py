@@ -27,7 +27,7 @@ from extbinom import (
     uniform_correction,
 )
 from extbinom.harness import _scale
-from extbinom.special import _hermite_coeffs, uniform_polynomial
+from extbinom.special import _hermite_coeffs, general_polynomial, uniform_polynomial
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -347,6 +347,50 @@ class TestContinuousLimit:
         assert at_1e9 >= self.FLOOR
         assert abs(at_1e6 - at_1e3) <= self.SETTLED
         assert abs(at_1e9 - at_1e6) <= self.SETTLED
+
+
+def interpolate(points):
+    """Exact coefficients, lowest first, of the polynomial of degree below
+    len(points) through the (u, y) points, by Lagrange's formula."""
+    out = [Fraction(0)] * len(points)
+    for i, (ui, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (uj, _) in enumerate(points):
+            if j != i:  # times (u - uj) / (ui - uj)
+                basis = [b - uj * a for a, b in zip([*basis, 0], [0, *basis])]
+                scale /= ui - uj
+        out = [o + scale * b for o, b in zip(out, basis)]
+    return out
+
+
+def horner(coeffs, u):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+class TestRationalInQ:
+    """With u = (q+1)^2, gamma_2l = B_2l / (2l) * (u^l - 1) and sigma^2 =
+    (u - 1)/12, so each coefficient of ``uniform_polynomial(v, q)`` times
+    (u - 1)^v is a polynomial in u of degree at most v: its only pole is
+    at u = 1 (q = 0), and its u^v coefficients are the continuous limit
+    of ``TestContinuousLimit``, as an identity."""
+
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_degree_and_limit(self, v):
+        samples = []
+        for q in range(1, 2 * v + 4):
+            u, coeffs = (q + 1) ** 2, uniform_polynomial(v, q).coeffs
+            coeffs += (0,) * (4 * v + 1 - len(coeffs))
+            samples.append((u, [(u - 1) ** v * c for c in coeffs]))
+        fits = [interpolate([(u, cs[j]) for u, cs in samples[: v + 1]])
+                for j in range(4 * v + 1)]
+        for u, cs in samples[v + 1:]:  # q = v+2..2v+3
+            assert [horner(f, u) for f in fits] == cs, u
+        irwin_hall = (Fraction(1, 2),) + tuple(bernoulli(k) / k for k in range(2, 2 * v + 3))
+        limit = general_polynomial(2 * v, irwin_hall, Fraction(1, 12))
+        assert tuple(f[v] for f in fits) == limit.coeffs
 
 
 class TestApproximateScaled:

@@ -487,6 +487,39 @@ class TestOffCentreExpansion:
         assert gaps[2] < gaps[0], gaps
 
 
+def predicted_ratio(n: int, q: int, order: int) -> float:
+    """sup_err over the first dropped term's sup, max_k |phi(x) P_{order+1}(x)|
+    / n**(order+1), both over the same half row of the sweep cache."""
+    sup, _ = uniform_error(n, q, order)
+    _, x, phi, _ = harness._joined((n,), q)
+    term = np.abs(phi * uniform_polynomial(order + 1, q)(x)).max() / n ** (order + 1)
+    return sup / float(term)
+
+
+class TestPredictedLeadingTerm:
+    """With ``order`` terms, the sup error is the first dropped term plus a
+    smaller remainder, so its ratio r to that term's sup tends to 1."""
+
+    # |r - 1| <= C[order] / n; the largest |r - 1| * n over q 1..8 and
+    # n 50..400 is 0.128, 0.874, 1.586 and 2.471 for orders 0 to 3, and
+    # each C is that times 1.25, rounded up to a tenth
+    C = (0.2, 1.1, 2.0, 3.1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_ratio_tends_to_one(self, q, order):
+        for n in (50, 100, 200, 400):
+            r = predicted_ratio(n, q, order)
+            assert abs(r - 1) <= self.C[order] / n, (n, r)
+
+    def test_rounding_floor_leaves_the_band(self):
+        # at order 6 the float evaluation's rounding error outgrows the
+        # dropped term: r is about 2.46, 234, 3.0e4 and 5.1e6
+        for n in (200, 400, 800, 1600):
+            r = predicted_ratio(n, 2, 6)
+            assert abs(r - 1) > max(self.C) / n, (n, r)
+
+
 class TestFirstOrderCrossCheck:
     @pytest.mark.parametrize("n,k,q", [(10, 10, 2), (25, 30, 3), (7, 0, 4)])
     def test_routes_agree(self, n, k, q):

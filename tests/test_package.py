@@ -43,6 +43,13 @@ def test_name_is_its_submodules_object(name):
     assert name in dir(extbinom)
 
 
+@pytest.mark.parametrize("name", sorted(DEFINED_IN))
+def test_name_has_its_own_docstring(name):
+    # a dataclass without one gets its generated signature, "Name(field: ...)"
+    doc = getattr(extbinom, name).__doc__
+    assert doc and doc.strip() and not doc.startswith(f"{name}("), doc
+
+
 def test_star_import_binds_all():
     namespace = {}
     exec("from extbinom import *", namespace)
