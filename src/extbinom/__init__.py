@@ -11,7 +11,8 @@ compute_row``) imports only ``extbinom.exact`` and what it needs.
 
 import importlib
 
-# the public names, by the submodule that defines them
+# the public names, by the submodule that exports them; cumulants re-exports
+# special's cumulant, edgeworth its approximate_scaled, exact_scaled_value, standardize
 _EXPORTS = {
     "cumulants": ("CumulantVector", "cumulant", "cumulants_from_moments",
                   "cumulants_up_to"),

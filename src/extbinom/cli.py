@@ -17,8 +17,8 @@ runs.  A failed write, to --out or to stdout, or a closed stdout, also
 exits 2, and so does an error whose ``error:`` line stderr cannot take.
 
 A short command's time is mostly start-up, so each subcommand imports,
-when it runs, only the library code it calls, and ``_render`` only the
-module of the format it writes (``json`` or ``csv``):
+when it runs, only the library code it calls, and ``_render`` imports
+``json`` only for JSON output:
 
 * ``coeff`` and ``row`` read the recurrence kernel
   ``extbinom._recurrence`` alone: no ``extbinom.exact``, ``fractions`` or
@@ -39,7 +39,6 @@ import atexit
 import math
 import os
 import sys
-from typing import NoReturn
 
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
 # box with Python 3.11: every correction up to order 40 builds in about
@@ -54,8 +53,11 @@ LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
 def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> str:
     """Rows as CSV (comments as '#' lines) or as JSON (footer appended as
-    a trailing object, Fractions as "p/q" strings).  A float cell or
-    footer value that is not finite is refused with a ValueError."""
+    a trailing object, Fractions as "p/q" strings).  A CSV cell is a bool
+    as true/false and any other value by its str: a float by repr, a
+    Fraction as "p/q".  No cell needs quoting, since each is a number, a
+    bool or a fixed column or term name.  A float cell or footer value
+    that is not finite is refused with a ValueError."""
     for row in [*rows, footer or {}]:
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -65,21 +67,14 @@ def _render(args, rows: list[dict], comments=(), footer: dict | None = None) -> 
 
         rows = rows + [footer] if footer else rows
         return json.dumps(rows, indent=2, default=str) + "\n"
-    import csv
-    import io
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    # csv writes floats by repr, the rest by str (Fraction as "p/q")
-    for row in rows:
-        writer.writerow(
-            ("true" if v else "false") if isinstance(v, bool) else v
-            for v in row.values()
-        )
-    for comment in comments:
-        buf.write(f"# {comment}\n")
-    return buf.getvalue()
+    def cell(v):
+        return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(cell, row.values())) for row in rows]
+    lines += [f"# {comment}" for comment in comments]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_coeff(args) -> str:
@@ -309,9 +304,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"{option} {value} exceeds the limit of {limit}")
             text = args.func(args)
             if args.out:
-                from pathlib import Path
-
-                Path(args.out).write_text(text)
+                with open(args.out, "w") as out:
+                    out.write(text)
             else:
                 _write("stdout", text)
         except (ValueError, OverflowError, OSError) as exc:
@@ -326,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(old_limit)
 
 
-def entrypoint() -> NoReturn:
+def entrypoint():
     """Run ``main`` on the command line, then end the process with its
     exit code.
 

@@ -15,13 +15,13 @@ sums, independent of the recurrence.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
 from threading import Lock
-from typing import Iterator
 
 from extbinom._recurrence import _check_nq, _filled, _int
 from extbinom._recurrence import coefficient as _coefficient

@@ -15,9 +15,9 @@ of read-only arrays, so calls are safe to run concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from extbinom._recurrence import _check_nq, _int
 from extbinom.exact import compute_row

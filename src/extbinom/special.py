@@ -18,12 +18,12 @@ NOT the physicist's (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 from numbers import Rational, Real
 from operator import add, index, mul
-from typing import Iterable
 
 from extbinom._recurrence import _check_nq, _filled, _int, _reduced
 from extbinom._recurrence import coefficient as _coefficient

@@ -458,12 +458,12 @@ SWEEP = KERNEL | {"extbinom.exact", "extbinom.harness"}
     "command,modules,absent",
     [
         ("coeff 4 4 2", ONE_SHOT, {"dataclasses", "fractions", "json", "csv"}),
-        ("coeff 4 4 2 --json", ONE_SHOT, {"dataclasses", "fractions"}),
-        ("row 2 2", ONE_SHOT, {"dataclasses", "fractions"}),
-        ("row 2 2 --json", ONE_SHOT, {"dataclasses", "fractions"}),
-        ("expand 100 90 2 --order 1 --terms", KERNEL, {"dataclasses", "inspect"}),
-        ("cumulants 2 --max-order 4 --oracle", KERNEL, {"dataclasses", "inspect"}),
-        ("qpoly 2 --nu 1", KERNEL, {"dataclasses", "inspect"}),
+        ("coeff 4 4 2 --json", ONE_SHOT, {"dataclasses", "fractions", "csv"}),
+        ("row 2 2", ONE_SHOT, {"dataclasses", "fractions", "csv"}),
+        ("row 2 2 --json", ONE_SHOT, {"dataclasses", "fractions", "csv"}),
+        ("expand 100 90 2 --order 1 --terms", KERNEL, {"dataclasses", "inspect", "csv"}),
+        ("cumulants 2 --max-order 4 --oracle", KERNEL, {"dataclasses", "inspect", "csv"}),
+        ("qpoly 2 --nu 1", KERNEL, {"dataclasses", "inspect", "csv"}),
         ("sweep 2 --order 1 --n-list 50,100,200", SWEEP, set()),
     ],
     ids=["coeff", "coeff-json", "row", "row-json", "expand", "cumulants", "qpoly",
@@ -483,6 +483,29 @@ def test_command_loads_only_what_it_runs(command, modules, absent):
         "assert not loaded, loaded\n"
         f"assert ('numpy' in sys.modules) == {argv[0] == 'sweep'}, 'numpy'\n"
     ))
+
+
+def test_commands_load_only_what_the_stdlib_core_loads(tmp_path):
+    # python -S runs without site, which on some installs preloads much of
+    # the stdlib and so would hide an import of the CLI's own; the baseline
+    # is what argparse, json and fractions load on the Python under test
+    watched = ["csv", "dataclasses", "inspect", "pathlib", "typing"]
+    report = f"sys.stderr.write(' '.join(sorted(set(sys.modules) & set({watched!r}))))\n"
+    baseline = run_python("-S", "-c", "import sys, argparse, json, fractions\n" + report)
+    commands = [
+        f"{command}{fmt}".split()
+        for command in ("coeff 4 4 2", "row 3 2", "expand 100 90 2 --order 1 --terms",
+                        "qpoly 2 --nu 1", "cumulants 2 --max-order 4 --oracle")
+        for fmt in ("", " --json")
+    ] + [["coeff", "4", "4", "2", "--out", str(tmp_path / "out")]]
+    probe = run_python("-S", "-c", (
+        "import sys\n"
+        "from extbinom.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n" + report
+    ))
+    extra = set(probe.stderr.split()) - set(baseline.stderr.split())
+    assert not extra, extra
 
 
 @pytest.mark.parametrize(

@@ -487,6 +487,44 @@ class TestOffCentreExpansion:
         assert gaps[2] < gaps[0], gaps
 
 
+class TestBeyondAllOrders:
+    """The terms beyond all orders at q = 2.  |M(e^{i theta})|, with
+    M(z) = (1 + z + z^2)/3, has a second peak, M(-1) = 1/3, at theta = pi.
+    It adds to P(S_n = k) a term that oscillates in k and that no order of
+    the series in 1/n captures: by the saddle point at theta = pi, where the
+    tilted law has mean 1 and variance 2, the scaled value gains
+
+        S = sqrt(2n/3) (-1)^k 3^-n exp(-(k - n)^2 / (4n)) / sqrt(4 pi n)
+
+    to leading order.  At n = 8..33 the series' own error after 40 terms is
+    below S, so the residual R after 40 terms, as in TestOffCentreExpansion,
+    over S tends to 1 like 1/n: R/S runs from 0.9625 at n = 8 to 0.9906 at
+    n = 33 at the centre k = n, and from 0.9786 to 0.9971 at
+    k = n + round(sqrt(2n/3)), where x is about 1.  The ratios read the
+    same at 40, 60 and 90 digits."""
+
+    C = 0.4  # max |R/S - 1| * n is 0.310 at the centre and 0.184 off it
+
+    @pytest.mark.parametrize("off_centre", [False, True], ids=["centre", "off-centre"])
+    def test_secondary_peak_leads_the_residual(self, off_centre):
+        polys = [uniform_polynomial(v, 2) for v in range(1, 41)]
+        for n in range(8, 34):
+            k = n + round(math.sqrt(2 * n / 3)) if off_centre else n
+            with localcontext() as ctx:
+                ctx.prec = 60
+                scale = (Decimal(2 * n) / 3).sqrt()  # sqrt(n sigma^2)
+                x = (k - n) / scale
+                phi = (-x * x / 2).exp() / (2 * decimal_pi()).sqrt()
+                series = 1 + sum(decimal_value(p, x) / Decimal(n) ** v
+                                 for v, p in enumerate(polys, 1))
+                scaled = Decimal(_recurrence.coefficient(n, k, 2)) / 3**n * scale
+                secondary = (scale * (-1) ** k / Decimal(3) ** n
+                             * (Decimal(-(k - n) ** 2) / (4 * n)).exp()
+                             / (4 * decimal_pi() * n).sqrt())
+                ratio = (scaled - phi * series) / secondary
+            assert abs(ratio - 1) <= self.C / n, (n, k, ratio)
+
+
 def predicted_ratio(n: int, q: int, order: int) -> float:
     """sup_err over the first dropped term's sup, max_k |phi(x) P_{order+1}(x)|
     / n**(order+1), both over the same half row of the sweep cache."""

@@ -1,5 +1,5 @@
-"""The package namespace: 26 public names, each loaded from the submodule
-that defines it on first use; and the README's example of them."""
+"""The package namespace: 26 public names, each loaded on first use from
+the submodule that exports it; and the README's example of them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ import pytest
 
 import extbinom
 
-# the public names, by the submodule that defines them
+# the public names, by the submodule that exports them: cumulant, and
+# approximate_scaled, exact_scaled_value and standardize, are defined in
+# special and re-exported by cumulants and edgeworth
 PUBLIC = {
     "cumulants": ["CumulantVector", "cumulant", "cumulants_from_moments",
                   "cumulants_up_to"],
