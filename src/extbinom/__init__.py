@@ -4,27 +4,27 @@ refined by explicitly constructed higher-order correction terms, and a
 harness that measures the approximation's uniform error and empirical
 convergence rate against the exact values.
 
-Every public name loads on first use: ``import extbinom`` imports no
-submodule, and ``extbinom.compute_row`` (or ``from extbinom import
-compute_row``) imports only ``extbinom.exact`` and what it needs.
+Every public name loads on first use, from the submodule that defines
+it: ``import extbinom`` imports no submodule, and ``extbinom.compute_row``
+(or ``from extbinom import compute_row``) imports only ``extbinom.exact``
+and what it needs.  The float layer and ``cumulant`` load
+``extbinom.special`` alone, which defines no record.
 """
 
 import importlib
 
-# the public names, by the submodule that exports them; cumulants re-exports
-# special's cumulant, edgeworth its approximate_scaled, exact_scaled_value, standardize
+# the public names, by the submodule that defines them
 _EXPORTS = {
-    "cumulants": ("CumulantVector", "cumulant", "cumulants_from_moments",
-                  "cumulants_up_to"),
-    "edgeworth": ("GaussianPolynomial", "approximate_scaled",
-                  "correction_from_cumulants", "exact_scaled_value", "standardize",
+    "cumulants": ("CumulantVector", "cumulants_from_moments", "cumulants_up_to"),
+    "edgeworth": ("GaussianPolynomial", "correction_from_cumulants",
                   "uniform_correction"),
     "exact": ("BigRow", "coefficient", "composition_count", "compute_row",
               "iter_rows", "scaled_probability"),
     "harness": ("SweepRecord", "SweepReport", "central_ratio",
                 "first_order_cross_check", "rate_sweep", "uniform_error"),
-    "special": ("RationalPolynomial", "bernoulli", "enumerate_partition_solutions",
-                "hermite"),
+    "special": ("RationalPolynomial", "approximate_scaled", "bernoulli", "cumulant",
+                "enumerate_partition_solutions", "exact_scaled_value", "hermite",
+                "standardize"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,7 +11,8 @@ not exposed as a parameter.
 The builders and the float layer are in the record-free kernel
 ``extbinom.special``, which the CLI reads without loading
 ``dataclasses``; this module wraps each polynomial in a
-``GaussianPolynomial`` and re-exports the float layer.
+``GaussianPolynomial``, and re-exports ``approximate_scaled`` and
+``standardize`` for ``perfbench/worker.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 from numbers import Rational
 
 from extbinom.cumulants import CumulantVector
-from extbinom.special import (  # the float layer is re-exported
+from extbinom.special import (
     RationalPolynomial,
     approximate_scaled,
-    exact_scaled_value,
     gaussian,
     general_polynomial,
     standardize,

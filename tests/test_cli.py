@@ -426,25 +426,6 @@ class TestFormatContracts:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeff", "4", "4", "2"],
-        ["row", "2", "2"],
-        ["expand", "100", "100", "2", "--order", "2", "--terms"],
-    ],
-    ids=["coeff", "row", "expand"],
-)
-def test_scalar_commands_do_not_import_numpy(argv):
-    # importing numpy is most of a short command's run time
-    run_python("-c", (
-        "import sys\n"
-        "from extbinom.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-    ))
-
-
 # coeff and row read the recurrence directly: no cached BigRow, so neither
 # the dataclass machinery nor fractions
 ONE_SHOT = {"extbinom", "extbinom.cli", "extbinom._recurrence"}

@@ -26,8 +26,7 @@ from extbinom import (
     standardize,
     uniform_correction,
 )
-from extbinom.harness import _scale
-from extbinom.special import _hermite_coeffs, general_polynomial, uniform_polynomial
+from extbinom.special import _hermite_coeffs, _scale, general_polynomial, uniform_polynomial
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 

@@ -488,41 +488,75 @@ class TestOffCentreExpansion:
 
 
 class TestBeyondAllOrders:
-    """The terms beyond all orders at q = 2.  |M(e^{i theta})|, with
-    M(z) = (1 + z + z^2)/3, has a second peak, M(-1) = 1/3, at theta = pi.
-    It adds to P(S_n = k) a term that oscillates in k and that no order of
-    the series in 1/n captures: by the saddle point at theta = pi, where the
-    tilted law has mean 1 and variance 2, the scaled value gains
+    """The terms beyond all orders at q = 2 and 3.  Write M(e^{i theta}),
+    with M(z) = (1 + z + ... + z^q)/Q and Q = q + 1, as e^{i q theta/2}
+    g(theta), where g(theta) = sin(Q theta/2) / (Q sin(theta/2)) is real.
+    Besides theta = 0, |g| peaks on side lobes theta_j, and each peak adds
+    to P(S_n = k) a term that oscillates in k and that no order of the
+    series in 1/n captures.  At a peak g' = 0, so the tilted law there has
+    mean q/2 and variance -g''/g = (Q^2 - 1)/4 = 3 sigma^2, the second
+    equality by the peak condition Q tan(theta/2) = tan(Q theta/2).  By the
+    saddle point, the peak adds to the scaled value
 
-        S = sqrt(2n/3) (-1)^k 3^-n exp(-(k - n)^2 / (4n)) / sqrt(4 pi n)
+        g(theta_j)^n cos((k - nq/2) theta_j) exp(-x^2/6) / sqrt(6 pi)
 
-    to leading order.  At n = 8..33 the series' own error after 40 terms is
-    below S, so the residual R after 40 terms, as in TestOffCentreExpansion,
-    over S tends to 1 like 1/n: R/S runs from 0.9625 at n = 8 to 0.9906 at
-    n = 33 at the centre k = n, and from 0.9786 to 0.9971 at
-    k = n + round(sqrt(2n/3)), where x is about 1.  The ratios read the
-    same at 40, 60 and 90 digits."""
+    to leading order, a conjugate pair twice and theta = pi once; with
+    h = cos(theta_j/2), the cosine is the Chebyshev T_{|2k - nq|}(h).
 
-    C = 0.4  # max |R/S - 1| * n is 0.310 at the centre and 0.184 off it
+    - q = 2: the one peak is theta = pi, so h = 0 and g = -1/3:
+      S = (-1)^k 3^-n exp(-x^2/6) / sqrt(6 pi).
+    - q = 3: |M| = |cos(theta/2) cos(theta)| peaks on the pair with
+      cos(theta_1) = -2/3, so h = 1/sqrt(6) and g = -2h/3:
+      S = 2 g^n T_{|2k - 3n|}(h) exp(-x^2/6) / sqrt(6 pi).
 
-    @pytest.mark.parametrize("off_centre", [False, True], ids=["centre", "off-centre"])
-    def test_secondary_peak_leads_the_residual(self, off_centre):
-        polys = [uniform_polynomial(v, 2) for v in range(1, 41)]
+    At n = 8..33 the series' own error after 40 terms is below S, so the
+    residual R after 40 terms, as in TestOffCentreExpansion, over S tends
+    to 1 like 1/n.  At the centre k = floor(nq/2), R/S runs from 0.9625 at
+    n = 8 to 0.9906 at n = 33 for q = 2, and from 0.9654 to 0.9895 for
+    q = 3, between 0.963 and 0.992.  At k = floor(nq/2) + round(sigma
+    sqrt(n)), where x is about 1, it runs from 0.9786 to 0.9971 for q = 2,
+    and stays between 0.962 and 1.068 for q = 3.  The ratios read the same
+    at 40, 60 and 90 digits."""
+
+    # max |R/S - 1| * n is 0.310 at the centre and 0.184 off it for q = 2,
+    # and 0.347 and 1.038 for q = 3; each C is the larger times 1.25,
+    # rounded up to a tenth
+    C = {2: 0.4, 3: 1.3}
+
+    @staticmethod
+    def peak(q):
+        """h = cos(theta_j/2), g(theta_j) and the number of peaks."""
+        if q == 2:
+            return Decimal(0), Decimal(-1) / 3, 1
+        h = 1 / Decimal(6).sqrt()
+        return h, -2 * h / 3, 2
+
+    @pytest.mark.parametrize(
+        "q,off_centre", [(2, False), (2, True), (3, False), (3, True)],
+        ids=["centre", "off-centre", "q3-centre", "q3-off-centre"],
+    )
+    def test_secondary_peak_leads_the_residual(self, q, off_centre):
+        polys = [uniform_polynomial(v, q) for v in range(1, 41)]
         for n in range(8, 34):
-            k = n + round(math.sqrt(2 * n / 3)) if off_centre else n
+            k = n * q // 2
+            if off_centre:
+                k += round(math.sqrt(n * q * (q + 2) / 12))
             with localcontext() as ctx:
                 ctx.prec = 60
-                scale = (Decimal(2 * n) / 3).sqrt()  # sqrt(n sigma^2)
-                x = (k - n) / scale
+                scale = (Decimal(n * q * (q + 2)) / 12).sqrt()  # sqrt(n sigma^2)
+                x = Decimal(2 * k - n * q) / 2 / scale
                 phi = (-x * x / 2).exp() / (2 * decimal_pi()).sqrt()
                 series = 1 + sum(decimal_value(p, x) / Decimal(n) ** v
                                  for v, p in enumerate(polys, 1))
-                scaled = Decimal(_recurrence.coefficient(n, k, 2)) / 3**n * scale
-                secondary = (scale * (-1) ** k / Decimal(3) ** n
-                             * (Decimal(-(k - n) ** 2) / (4 * n)).exp()
-                             / (4 * decimal_pi() * n).sqrt())
+                scaled = Decimal(_recurrence.coefficient(n, k, q)) / (q + 1) ** n * scale
+                h, g, peaks = self.peak(q)
+                t, t_next = Decimal(1), h  # T_0(h), T_1(h)
+                for _ in range(abs(2 * k - n * q)):
+                    t, t_next = t_next, 2 * h * t_next - t
+                secondary = (peaks * g**n * t * (-x * x / 6).exp()
+                             / (6 * decimal_pi()).sqrt())
                 ratio = (scaled - phi * series) / secondary
-            assert abs(ratio - 1) <= self.C / n, (n, k, ratio)
+            assert abs(ratio - 1) <= self.C[q] / n, (n, k, ratio)
 
 
 def predicted_ratio(n: int, q: int, order: int) -> float:

@@ -1,5 +1,5 @@
 """The package namespace: 26 public names, each loaded on first use from
-the submodule that exports it; and the README's example of them."""
+the submodule that defines it; and the README's example of them."""
 
 from __future__ import annotations
 
@@ -14,21 +14,18 @@ import pytest
 
 import extbinom
 
-# the public names, by the submodule that exports them: cumulant, and
-# approximate_scaled, exact_scaled_value and standardize, are defined in
-# special and re-exported by cumulants and edgeworth
+# the public names, by the submodule that defines them
 PUBLIC = {
-    "cumulants": ["CumulantVector", "cumulant", "cumulants_from_moments",
-                  "cumulants_up_to"],
-    "edgeworth": ["GaussianPolynomial", "approximate_scaled",
-                  "correction_from_cumulants", "exact_scaled_value", "standardize",
+    "cumulants": ["CumulantVector", "cumulants_from_moments", "cumulants_up_to"],
+    "edgeworth": ["GaussianPolynomial", "correction_from_cumulants",
                   "uniform_correction"],
     "exact": ["BigRow", "coefficient", "composition_count", "compute_row",
               "iter_rows", "scaled_probability"],
     "harness": ["SweepRecord", "SweepReport", "central_ratio",
                 "first_order_cross_check", "rate_sweep", "uniform_error"],
-    "special": ["RationalPolynomial", "bernoulli", "enumerate_partition_solutions",
-                "hermite"],
+    "special": ["RationalPolynomial", "approximate_scaled", "bernoulli", "cumulant",
+                "enumerate_partition_solutions", "exact_scaled_value", "hermite",
+                "standardize"],
 }
 DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names}
 
@@ -43,6 +40,12 @@ def test_name_is_its_submodules_object(name):
     module = importlib.import_module(f"extbinom.{DEFINED_IN[name]}")
     assert getattr(extbinom, name) is getattr(module, name)
     assert name in dir(extbinom)
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED_IN))
+def test_name_loads_from_its_defining_module(name):
+    assert extbinom._MODULE_OF[name] == DEFINED_IN[name]
+    assert getattr(extbinom, name).__module__ == f"extbinom.{DEFINED_IN[name]}"
 
 
 @pytest.mark.parametrize("name", sorted(DEFINED_IN))
@@ -81,9 +84,20 @@ def test_names_load_on_first_use():
         "assert loaded() == ['extbinom._recurrence', 'extbinom.exact'], loaded()\n"
         "assert extbinom.harness.rate_sweep is extbinom.rate_sweep\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # the float layer and cumulant are special's, which defines no record;
+    # -S, since site may preload the stdlib modules watched here
+    kernel = (
+        "import sys\n"
+        "from extbinom import approximate_scaled, cumulant, exact_scaled_value, standardize\n"
+        "package = sorted(m for m in sys.modules if m.split('.')[0] == 'extbinom')\n"
+        "assert package == ['extbinom', 'extbinom._recurrence', 'extbinom.special'], package\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    for args in (["-c", code], ["-S", "-c", kernel]):
+        proc = subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_library_block():
