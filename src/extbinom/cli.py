@@ -345,7 +345,12 @@ def entrypoint():
     ``python -m trace``, a debugger) or when the interpreter is to stay
     (``python -i``), it leaves by ``SystemExit`` instead, so that the
     tool still gets its turn at the end.
+
+    Unless the caller set it, ``OPENBLAS_NUM_THREADS`` is 1 before ``main``
+    can import numpy: extbinom calls no BLAS routine, and OpenBLAS's pool
+    of worker threads would only spin beside numpy's import.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help

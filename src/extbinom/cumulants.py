@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from extbinom._recurrence import _int
-from extbinom.special import (  # cumulant is re-exported
-    cumulant,
-    gammas_from_moments,
-    gammas_up_to,
-)
+from extbinom.special import gammas_from_moments, gammas_up_to
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,9 @@ def _joined(ns: tuple[int, ...], q: int):
     """The order-independent arrays over k = 0..n*q//2 of every n in ns,
     end to end and read-only since every caller shares them: the exact
     scaled values, x = standardize(n, k, q) and gaussian(x), and each
-    row's length.  The float arrays take 24 bytes per point, less than the
-    integer rows they come from; a one-row table is that row's own arrays,
-    with no joined copy."""
+    row's length.  Every table, a one-row one too, is built by joining its
+    rows' arrays.  The float arrays take 24 bytes per point, less than the
+    integer rows they come from."""
     import numpy as np
 
     rows = []
@@ -96,7 +96,7 @@ def _joined(ns: tuple[int, ...], q: int):
         exact = np.array([c / denom for c in row.coeffs[:half]]) * _scale(n, q)
         x = standardize(n, np.arange(half), q)
         rows.append((exact, x, gaussian(x)))
-    arrays = rows[0] if len(rows) == 1 else [np.concatenate(a) for a in zip(*rows)]
+    arrays = [np.concatenate(a) for a in zip(*rows)]
     for a in arrays:
         a.flags.writeable = False
     return (*arrays, tuple(len(x) for _, x, _ in rows))

@@ -289,11 +289,17 @@ def gaussian(x):
     return np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(x)) / SQRT_2PI
 
 
-def standardize(n: int, k: int, q: int) -> float:
+def standardize(n: int, k, q: int) -> float:
     """Lattice point k less the mean n*a/b, over the standard deviation
     sqrt(n*c/d) of the n-fold uniform sum, with a/b = ``cumulant(1, q)`` and
-    c/d = ``cumulant(2, q)`` reduced; exactly 0.0 at the central point."""
+    c/d = ``cumulant(2, q)`` reduced; exactly 0.0 at the central point.
+
+    A numpy k of an integer or bool dtype, scalar or array, is taken as
+    int64 (an int64 array uncopied), so that ``b * k - n * a`` cannot wrap
+    in a narrower or unsigned dtype; a float k is used as it is."""
     n, q = _check_nq(n, q)
+    if hasattr(k, "dtype") and k.dtype.kind in "biu":
+        k = k.astype("int64", copy=False)
     a, b = cumulant(1, q).as_integer_ratio()
     c, d = cumulant(2, q).as_integer_ratio()
     return (b * k - n * a) / b * math.sqrt(d / (c * n))
@@ -458,8 +464,9 @@ def approximate_scaled(n: int, k, q: int, order: int = 0):
     """Approximate sqrt(q*(q+2)*n/12) * P(S_n = k), i.e. the exact row
     value scaled to density height, by the Gaussian density at the
     standardized point plus the first ``order`` correction terms (term v
-    weighted by n**-v).  For an integer numpy array of k it returns the
-    float array of the scalar results, bit for bit.
+    weighted by n**-v).  For a numpy array of k of any integer or bool
+    dtype it returns the float array of the scalar int results, bit for
+    bit: ``standardize`` takes such a k as int64.
 
     order = 0 is the plain normal approximation.  The sup-over-k error
     decays empirically like n**-(order+1).

@@ -779,6 +779,38 @@ class TestProcessExit:
         ))
         assert (proc.returncode, proc.stdout) == (0, b"19\natexit ran\n")
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+        or not os.path.exists("/proc/self/status"),
+        reason="needs Linux's /proc and at least 2 CPUs, where OpenBLAS starts a pool",
+    )
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+    def test_openblas_threads(self, preset):
+        # sweep imports numpy; extbinom calls no BLAS routine, so unless the
+        # caller sized OpenBLAS's pool the process runs one thread
+        with mock.patch.dict(os.environ):
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            if preset is not None:
+                os.environ["OPENBLAS_NUM_THREADS"] = preset
+            proc = run_process("-c", (
+                "import atexit, os, sys\n"
+                "from extbinom.cli import entrypoint\n"
+                "def report():\n"
+                "    status = open('/proc/self/status').read().split()\n"
+                "    threads = status[status.index('Threads:') + 1]\n"
+                "    print(os.environ['OPENBLAS_NUM_THREADS'], threads, file=sys.stderr)\n"
+                "atexit.register(report)\n"
+                "sys.argv = ['extbinom', 'sweep', '2', '--order', '1',\n"
+                "            '--n-list', '50,100,200']\n"
+                "entrypoint()\n"
+            ))
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stderr.decode().split()
+        if preset is None:
+            assert (value, threads) == ("1", "1")
+        else:
+            assert value == preset
+
     def test_profiler_still_reports(self):
         proc = run_process("-m", "cProfile", "-m", "extbinom.cli", "coeff", "4", "4", "2")
         assert proc.returncode == 0, proc.stderr

@@ -123,6 +123,43 @@ class TestStandardize:
                 assert _scale(n, q) == math.sqrt(q * (q + 2) * n / 12)
             assert _scale(2**70, q) == math.sqrt(q * (q + 2) * 2**70 / 12)
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64,
+         np.uint8, np.uint16, np.uint32, np.uint64, np.bool_],
+        ids=lambda dtype: np.dtype(dtype).name,
+    )
+    def test_integer_dtype_gives_the_int_bits(self, dtype):
+        # odd q, so the mean's denominator b is 2: in its own dtype 2*k
+        # wraps from k = 64 in int8 and 2*k - n*q below the mean in uint8
+        n, q = (1, 1) if dtype is np.bool_ else (40, 3)
+        ks = range(n * q + 1)  # both sides of the mean, in every dtype's range
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        want = bits(standardize(n, k, q) for k in ks)
+        assert bits(standardize(n, np.array(ks, dtype), q)) == want
+        assert bits(standardize(n, dtype(k), q) for k in ks) == want
+        for order in (0, 2):
+            want = bits(approximate_scaled(n, k, q, order) for k in ks)
+            assert bits(approximate_scaled(n, np.array(ks, dtype), q, order)) == want
+            assert bits(approximate_scaled(n, dtype(k), q, order) for k in ks) == want
+
+    def test_float_k_used_as_it_is(self):
+        # the float expression's values on k as given, between lattice points
+        assert standardize(40, 90.5, 3).hex() == "0x1.140df2e276a66p+2"
+        xs = standardize(40, np.array([0.25, 60.0, 90.5]), 3).tolist()
+        assert [x.hex() for x in xs] == [
+            "-0x1.0e65cb48d6d76p+3", "0x0.0p+0", "0x1.140df2e276a66p+2"]
+        assert approximate_scaled(40, 90.5, 3, 2).hex() == "0x1.a0df23ff5b8bdp-16"
+        assert approximate_scaled(40, np.array([90.5]), 3, 2)[0].hex() == (
+            "0x1.a0df23ff5b8bdp-16")
+        # a float32 k stays in float32
+        xs = standardize(40, np.array([0.25, 90.5], np.float32), 3)
+        assert xs.dtype == np.float32
+        assert xs.tolist() == [-8.449926376342773, 4.313351631164551]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             standardize(0, 0, 2)

@@ -538,7 +538,8 @@ GATED = {
                                "q must be a positive integer, got 0"),
     "CumulantVector.gamma": (lambda k: cumulants_up_to(4, 2).gamma(k), (2,), (0,),
                              "cumulant order must be a positive integer, got 0"),
-    # k of the float layer is not gated: it may be an array of any type
+    # k of the float layer is not gated: a float or float array is used as it
+    # is, and a numpy integer or bool k, scalar or array, is taken as int64
     "standardize": (lambda n, q: standardize(n, 150, q), (200, 2), (-3, 2),
                     "n must be a positive integer, got -3"),
     "exact_scaled_value": (exact_scaled_value, (200, 150, 2), (200, 150, 0),

@@ -115,7 +115,7 @@ class TestUniformError:
             uniform_error(50, 2, -1)
 
     def test_cached_arrays_are_read_only(self):
-        # a one-row table is that row's own arrays, not a joined copy
+        # a one-row table is joined from its row's arrays, as every table is
         uniform_error(50, 2, 2)
         exact, x, base, _ = harness._joined((50,), 2)
         sums = harness._partial_sum((50,), 2, 1), harness._partial_sum((50,), 2, 2)

@@ -48,6 +48,11 @@ def test_name_loads_from_its_defining_module(name):
     assert getattr(extbinom, name).__module__ == f"extbinom.{DEFINED_IN[name]}"
 
 
+def test_cumulants_does_not_reexport_cumulant():
+    # special defines it; test_name_loads_from_its_defining_module loads it there
+    assert not hasattr(importlib.import_module("extbinom.cumulants"), "cumulant")
+
+
 @pytest.mark.parametrize("name", sorted(DEFINED_IN))
 def test_name_has_its_own_docstring(name):
     # a dataclass without one gets its generated signature, "Name(field: ...)"
