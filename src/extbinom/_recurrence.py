@@ -63,7 +63,7 @@ def _filled(fraction_type, numerator: int, denominator: int):
 
     ``object.__new__`` makes a bare instance and its two slots are filled
     directly, which skips the Python-level ``Fraction.__new__`` with its
-    type dispatch, sign check and gcd.  CPython 3.10 to 3.14, the
+    type dispatch, sign check and gcd.  CPython 3.11 to 3.14, the
     versions CI runs, name the slots alike, and
     ``tests/test_special.py::TestLowestTerms`` checks them on each.
     Callers pass ``Fraction`` as ``fraction_type``, so that this module

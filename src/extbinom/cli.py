@@ -288,12 +288,10 @@ def _write(name: str, text: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # integers are printed exactly at any size, past the interpreter's
-    # digit limit for int-to-str conversion, where it has one; the
-    # caller's limit is restored on the way out
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    old_limit = get_limit() if get_limit is not None else None
-    if old_limit is not None:
-        sys.set_int_max_str_digits(0)
+    # digit limit for int-to-str conversion; the caller's limit is
+    # restored on the way out
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         try:
@@ -316,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return 0
     finally:
-        if old_limit is not None:
-            sys.set_int_max_str_digits(old_limit)
+        sys.set_int_max_str_digits(old_limit)
 
 
 def entrypoint():

@@ -35,13 +35,16 @@ from extbinom.special import (
 class GaussianPolynomial:
     """``(1/sqrt(2*pi)) * exp(-x**2/2) * poly(x)`` with exact poly part.
 
-    Immutable; instances are shared freely.
+    Evaluated in floats at a real x or over a float array, whose entries
+    have the scalar calls' bits.  Immutable; instances are shared freely.
     """
 
     poly: RationalPolynomial
 
-    def __call__(self, x: float) -> float:
-        return gaussian(x) * self.poly(float(x))
+    def __call__(self, x):
+        # 1.0 * x is float(x) for an int or Fraction, and leaves a float
+        # or float array as it is, -0.0 included
+        return gaussian(x) * self.poly(1.0 * x)
 
 
 def correction_from_cumulants(

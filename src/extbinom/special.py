@@ -70,7 +70,9 @@ class RationalPolynomial:
     all of Python ints, construct through ``_of_fractions``, which skips
     that conversion.
 
-    Evaluation at int or Fraction points is exact; at anything else
+    Evaluation at int or Fraction points is exact, a Fraction point taken
+    as a Fraction of Python ints (``_exact``) as each coefficient is, so a
+    Fraction of numpy integers does not wrap; at anything else
     (floats, numpy arrays) it runs a floating Horner scheme on float
     coefficients converted once, on the first such call, stepping in
     place on one new array so that x is never written; it skips the add
@@ -115,6 +117,8 @@ class RationalPolynomial:
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction)):
+            if isinstance(x, Fraction):
+                x = _exact(x)
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c

@@ -46,13 +46,9 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def no_int_digit_limit():
-    """Lift this interpreter's int/str digit limit, where it has one, so
-    the test itself can render and parse integers of any size."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    old = get_limit()
+    """Lift this interpreter's int/str digit limit, so the test itself
+    can render and parse integers of any size."""
+    old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(old)
@@ -510,18 +506,21 @@ def test_fit_does_not_import_numpy():
     ))
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="interpreter has no int/str digit limit",
-)
 @pytest.mark.parametrize(
-    "argv", [["coeff", "4", "4", "2"], ["coeff", "0", "0", "2"]], ids=["ok", "error"]
+    "argv, code",
+    [(["coeff", "4", "4", "2"], 0), (["coeff", "0", "0", "2"], 2), (["coeff"], 2)],
+    ids=["ok", "error", "usage"],
 )
-def test_main_restores_int_digit_limit(capsys, argv):
+def test_main_restores_int_digit_limit(capsys, argv, code):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
     try:
-        main(argv)
+        if argv == ["coeff"]:  # argparse's usage error leaves by SystemExit
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        else:
+            assert main(argv) == code
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(old)

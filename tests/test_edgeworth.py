@@ -280,6 +280,21 @@ class TestGeneralBuilder:
             assert correction_from_cumulants(order, cv, variance).poly == expected
 
 
+class TestGaussianPolynomialCall:
+    def test_array_gives_the_scalar_bits(self):
+        term = uniform_correction(3, 5)
+        xs = np.linspace(-6, 6, 2001)
+        got = term(xs)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == np.array([term(x) for x in xs.tolist()]).tobytes()
+
+    def test_exact_points_evaluated_in_floats(self):
+        term = uniform_correction(2, 3)
+        for x, f in ((2, 2.0), (Fraction(1, 2), 0.5), (0, 0.0)):
+            assert type(term(x)) is float
+            assert term(x).hex() == term(f).hex()
+
+
 class TestUniformBuilder:
     def test_q1_first_order(self):
         assert uniform_correction(1, 1).poly == Fraction(-1, 12) * hermite(4)

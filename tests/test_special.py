@@ -249,6 +249,12 @@ class TestRationalPolynomial:
         assert p(Fraction(1, 2)) == Fraction(7, 12)
         assert isinstance(p(2), Fraction)
 
+    def test_fraction_of_numpy_ints_does_not_wrap(self):
+        # 10**12 * 10**9 + 1 is past int64; an int64 Horner would wrap
+        got = RationalPolynomial([1, 10**12])(Fraction(np.int64(10**9), np.int64(1)))
+        assert got == 10**21 + 1
+        assert type(got.numerator) is int and type(got.denominator) is int
+
     def test_float_evaluation(self):
         p = RationalPolynomial([1, -2, 3])
         assert p(0.5) == pytest.approx(1 - 1 + 0.75)
