@@ -45,7 +45,7 @@ import sys
 # 0.17 s at q = 8 (`expand 3 1 8 --order 40`), up to order 60 in 1.8 s.
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`
-# takes about 0.18 s on the same box, 600 about 0.58 s (0.45 s at q = 2).
+# takes about 0.26 s on the same box, 600 about 0.8 s (0.6 s at q = 2).
 MAX_CUMULANT_ORDER = 400
 # the bounded options by argparse dest, checked in main before dispatch
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}

@@ -3,9 +3,10 @@ polynomials, Bernoulli numbers, probabilist's Hermite polynomials, the
 cumulants of the uniform on {0, ..., q}, the correction polynomials and
 the float layer that evaluates them.
 
-It imports neither ``dataclasses`` nor, at module level, numpy, so that
-the CLI's ``expand``, ``qpoly`` and ``cumulants`` load nothing more;
-``cumulants`` and ``edgeworth`` wrap its results in frozen dataclasses.
+It imports neither ``dataclasses``, ``threading`` (its one lock comes
+from ``_thread``) nor, at module level, numpy, so that the CLI's
+``expand``, ``qpoly`` and ``cumulants`` load nothing more; ``cumulants``
+and ``edgeworth`` wrap its results in frozen dataclasses.
 
 Conventions: rationals are ``fractions.Fraction`` in lowest terms.
 Bernoulli numbers follow the generating function ``t / (e^t - 1)``, so
@@ -18,9 +19,11 @@ NOT the physicist's (``exp(-x^2)`` weight, ``H_2 = 4x^2 - 2``).
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial, perm
 from numbers import Rational, Real
 from operator import add, index, mul
@@ -66,9 +69,10 @@ class RationalPolynomial:
     polynomials always compare equal.  Each coefficient becomes a Fraction
     of Python ints (``_exact``): a float exactly, any other
     ``numbers.Rational`` by its numerator and denominator, and anything
-    else raises TypeError.  The correction builders, whose Fractions are
-    all of Python ints, construct through ``_of_fractions``, which skips
-    that conversion.
+    else raises TypeError.  The correction builders, ``+`` and scalar
+    ``*``, whose Fractions are all of Python ints (a scalar is taken
+    through ``_exact`` first), construct through ``_of_fractions``, which
+    skips that conversion.
 
     Evaluation at int or Fraction points is exact, a Fraction point taken
     as a Fraction of Python ints (``_exact``) as each coefficient is, so a
@@ -140,11 +144,12 @@ class RationalPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RationalPolynomial(out)
+        return RationalPolynomial._of_fractions(out)
 
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coeffs])
+            other = _exact(other)
+            return RationalPolynomial._of_fractions([c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -251,7 +256,41 @@ def gammas_up_to(order: int, q: int) -> tuple[Fraction, ...]:
 
 
 def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
-    """Same cumulants derived from raw moments, as an independent check.
+    """Same cumulants derived from raw moments, as an independent check,
+    by ``_moment_cumulants``.
+
+    The recursion is kept for the last four q (``_moment_series``), so
+    each order is computed once per q kept: a call returns the prefix
+    computed so far and steps the recursion only past its longest order.
+    Steps run under one lock.  A step that raises, KeyboardInterrupt
+    included, drops that q's series, so a later call starts it afresh.
+    """
+    order, q = _int(order, "cumulant order"), _int(q, "q")
+    kept = _moment_series(q)
+    with _extending:
+        gammas, steps = kept
+        try:
+            while len(gammas) < order:
+                gammas.append(next(steps))
+        except BaseException:  # the step may have lost its gamma on the way
+            kept[:] = [], _moment_cumulants(q)
+            raise
+        return tuple(gammas[:order])
+
+
+_extending = allocate_lock()
+
+
+@lru_cache(maxsize=4)
+def _moment_series(q: int) -> list:
+    """[gammas, steps] for an int q: the cumulants ``_moment_cumulants(q)``
+    has yielded so far, in order, and that generator."""
+    return [[], _moment_cumulants(q)]
+
+
+def _moment_cumulants(q: int):
+    """Yield gamma_1, gamma_2, ... of the uniform on {0, ..., q}, without
+    end, from raw moments.
 
     The raw moments are m_j = S_j / Q with the power sums
     S_j = sum_{v=0..q} v**j and Q = q + 1, each S_j from the lower ones
@@ -263,7 +302,6 @@ def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
 
         Gamma_k = M_k - sum_{j=1..k-1} C(k-1, j-1) Gamma_j M_{k-j}
     """
-    order, q = _int(order, "cumulant order"), _int(q, "q")
     big_q = q + 1
     powers = [1, big_q]  # powers[j] = Q**j
     sums = [big_q]  # sums[j] = S_j, each added by Pascal's identity
@@ -271,7 +309,7 @@ def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
     scaled: list[int] = []  # scaled[k - 1] = Gamma_k
     # Pascal rows C(k-1, .), C(k, .) and C(k+1, .)
     below, middle, above = [1], [1, 1], [1, 2, 1]
-    for k in range(1, order + 1):
+    for k in count(1):
         powers.append(powers[k] * big_q)
         # zip stops at the shorter list: i = 0..k-1 here, j = 1..k-1 below
         sums.append((powers[k + 1] - sum(map(mul, above, sums))) // (k + 1))
@@ -279,7 +317,7 @@ def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
         moments.append(sums[k] * powers[k - 1])
         scaled.append(moments[k] - tail)
         below, middle, above = middle, above, [1, *map(add, above, above[1:]), 1]
-    return tuple(_fraction(g, powers[k]) for k, g in enumerate(scaled, 1))
+        yield _fraction(scaled[-1], powers[k])
 
 
 def gaussian(x):

@@ -466,7 +466,7 @@ def test_commands_load_only_what_the_stdlib_core_loads(tmp_path):
     # python -S runs without site, which on some installs preloads much of
     # the stdlib and so would hide an import of the CLI's own; the baseline
     # is what argparse, json and fractions load on the Python under test
-    watched = ["csv", "dataclasses", "inspect", "pathlib", "typing"]
+    watched = ["csv", "dataclasses", "inspect", "pathlib", "threading", "typing"]
     report = f"sys.stderr.write(' '.join(sorted(set(sys.modules) & set({watched!r}))))\n"
     baseline = run_python("-S", "-c", "import sys, argparse, json, fractions\n" + report)
     commands = [

@@ -3,11 +3,17 @@ moment-recursion route."""
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_to
+from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_to, special
+from extbinom.special import _fraction, _moment_series, gammas_from_moments
 
 
 class TestClosedForm:
@@ -101,3 +107,85 @@ class TestMomentOracle:
             cumulants_from_moments(0, 3)
         with pytest.raises(ValueError):
             cumulants_from_moments(3, 0)
+
+
+MOMENT_QS = (1, 2, 3, 8, 100, 10**9)
+MOMENT_ORDERS = range(1, 61)
+
+
+@pytest.fixture(scope="module")
+def fresh_moments():
+    """gammas_from_moments(order, q) of a freshly cleared call, for every
+    q of MOMENT_QS and order of MOMENT_ORDERS."""
+    fresh = {}
+    for q in MOMENT_QS:
+        for order in MOMENT_ORDERS:
+            _moment_series.cache_clear()
+            fresh[order, q] = gammas_from_moments(order, q)
+    _moment_series.cache_clear()
+    return fresh
+
+
+class TestKeptMomentSeries:
+    """gammas_from_moments keeps its recursion per q and steps it only past
+    the longest order asked so far; no call order, thread or interrupted
+    step may change what a call returns."""
+
+    def test_fresh_calls_give_the_closed_form(self, fresh_moments):
+        for (order, q), gammas in fresh_moments.items():
+            assert gammas == tuple(cumulant(k, q) for k in range(1, order + 1))
+
+    @given(q=st.sampled_from(MOMENT_QS), shuffled=st.permutations(MOMENT_ORDERS))
+    @settings(max_examples=20, deadline=None)
+    def test_any_call_order(self, fresh_moments, q, shuffled):
+        for orders in (MOMENT_ORDERS, MOMENT_ORDERS[::-1], shuffled):
+            _moment_series.cache_clear()
+            for order in orders:
+                assert gammas_from_moments(order, q) == fresh_moments[order, q]
+
+    def test_threads_interleave_orders(self, fresh_moments):
+        q = 10**9
+        _moment_series.cache_clear()
+        start = threading.Barrier(4, timeout=60)
+        results = {}
+
+        def work(i):
+            orders = list(MOMENT_ORDERS[i::4])
+            random.Random(i).shuffle(orders)
+            start.wait()
+            results[i] = [(order, gammas_from_moments(order, q)) for order in orders]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            for order, gammas in got:
+                assert gammas == fresh_moments[order, q]
+
+    def test_interrupted_step_leaves_no_short_series(self, fresh_moments, monkeypatch):
+        q = 8
+        _moment_series.cache_clear()
+        assert gammas_from_moments(3, q) == fresh_moments[3, q]
+        calls = []
+
+        def interrupt_once(numerator, denominator):
+            calls.append(numerator)
+            if len(calls) == 4:  # while gamma_7 is built
+                raise KeyboardInterrupt
+            return _fraction(numerator, denominator)
+
+        monkeypatch.setattr(special, "_fraction", interrupt_once)
+        with pytest.raises(KeyboardInterrupt):
+            gammas_from_moments(10, q)
+        assert gammas_from_moments(10, q) == fresh_moments[10, q]
+        assert gammas_from_moments(5, q) == fresh_moments[5, q]
+        assert gammas_from_moments(12, q) == fresh_moments[12, q]

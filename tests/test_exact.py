@@ -51,7 +51,7 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom.special import _hermite_coeffs, uniform_polynomial
+from extbinom.special import _hermite_coeffs, _moment_series, uniform_polynomial
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -560,7 +560,7 @@ GATED = {
     "first_order_cross_check": (lambda n, q: first_order_cross_check(n, 150, q),
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
-CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant,
+CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant, _moment_series,
           uniform_polynomial, harness._joined, harness._partial_sum)
 
 

@@ -255,6 +255,15 @@ class TestRationalPolynomial:
         assert got == 10**21 + 1
         assert type(got.numerator) is int and type(got.denominator) is int
 
+    def test_scalar_fraction_of_numpy_ints_does_not_wrap(self):
+        # the scalar is taken as a Fraction of Python ints before it
+        # multiplies: 10**12 * 10**9 is past int64
+        p, c = RationalPolynomial([1, 10**12]), Fraction(np.int64(10**9), np.int64(1))
+        for got in (p * c, c * p):
+            assert got.coeffs == (10**9, 10**21)
+            assert all(type(v.numerator) is int and type(v.denominator) is int
+                       for v in got.coeffs)
+
     def test_float_evaluation(self):
         p = RationalPolynomial([1, -2, 3])
         assert p(0.5) == pytest.approx(1 - 1 + 0.75)
