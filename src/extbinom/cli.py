@@ -41,8 +41,9 @@ import os
 import sys
 
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
-# box with Python 3.11: every correction up to order 40 builds in about
-# 0.17 s at q = 8 (`expand 3 1 8 --order 40`), up to order 60 in 1.8 s.
+# box with Python 3.11, whole commands as README states them: `expand 3 1
+# 8 --order 40`, which builds every correction up to order 40 at q = 8,
+# takes about 0.25 s (medians of 9 runs 0.22-0.25 s), order 60 about 2.5 s.
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`
 # takes about 0.26 s on the same box, 600 about 0.8 s (0.6 s at q = 2).

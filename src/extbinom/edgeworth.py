@@ -36,7 +36,9 @@ class GaussianPolynomial:
     """``(1/sqrt(2*pi)) * exp(-x**2/2) * poly(x)`` with exact poly part.
 
     Evaluated in floats at a real x or over a float array, whose entries
-    have the scalar calls' bits.  Immutable; instances are shared freely.
+    have the scalar calls' bits; ``gaussian`` and the polynomial take a
+    numpy float of any dtype as float64.  Immutable; instances are shared
+    freely.
     """
 
     poly: RationalPolynomial

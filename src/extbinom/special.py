@@ -50,6 +50,16 @@ def _ratio(value, name: str) -> tuple[int, int]:
     return index(value.numerator), index(value.denominator)
 
 
+def _float64(x):
+    """A numpy float of any dtype, scalar or array, as float64, so that a
+    float32 or float16 one gives the bits of the float64 call at the same
+    values; a float64 array is not copied, and anything else is returned
+    as it is."""
+    if hasattr(x, "dtype") and x.dtype.kind == "f":
+        return x.astype("float64", copy=False)
+    return x
+
+
 def _exact(c) -> Fraction:
     """A polynomial coefficient as a Fraction of Python ints: such a
     Fraction as it is (it is immutable), a float exactly, any other value
@@ -74,19 +84,21 @@ class RationalPolynomial:
     through ``_exact`` first), construct through ``_of_fractions``, which
     skips that conversion.
 
-    Evaluation at int or Fraction points is exact, a Fraction point taken
-    as a Fraction of Python ints (``_exact``) as each coefficient is, so a
-    Fraction of numpy integers does not wrap; at anything else
-    (floats, numpy arrays) it runs a floating Horner scheme on float
-    coefficients converted once, on the first such call, stepping in
-    place on one new array so that x is never written; it skips the add
-    of each zero coefficient but the constant, with the bits of the full
-    scheme.
+    Evaluation runs one Horner loop, stepping in place and skipping the
+    add of each zero coefficient but the constant, which leaves the exact
+    value and the bits of the full float scheme.  At an int or Fraction
+    point it is exact: it starts from Fraction(0), the point taken as a
+    Fraction of Python ints (``_exact``) as each coefficient is, so a
+    Fraction of numpy integers does not wrap.  At anything else (floats,
+    numpy arrays) it runs on float coefficients converted once, on the
+    first such call, takes a numpy float x as float64 (``_float64``) and
+    starts from ``0.0 * x``, a new value, so that x is never written.
 
     Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
-    scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``.  The
-    correction builders assemble their sums in integers instead; the
-    arithmetic serves the tests' partition oracles and worked identities.
+    scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``; ``+``
+    and ``*`` with any other operand raise TypeError.  The correction
+    builders assemble their sums in integers instead; the arithmetic
+    serves the tests' partition oracles and worked identities.
     """
 
     __slots__ = ("coeffs", "_floats")
@@ -121,23 +133,21 @@ class RationalPolynomial:
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction)):
-            if isinstance(x, Fraction):
-                x = _exact(x)
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        if self._floats is None:
-            self._floats = tuple(float(c) for c in reversed(self.coeffs))
-        top, *rest = self._floats
-        acc = 0.0 * x + top  # a new array, or float, with the first step's bits
-        for c in rest:  # in place: the same IEEE steps, no temporaries
+            cs, acc, x = self.coeffs, Fraction(0), _exact(x)
+        else:
+            if self._floats is None:
+                self._floats = tuple(map(float, self.coeffs))
+            x = _float64(x)
+            cs, acc = self._floats, 0.0 * x  # a new value: x is never written
+        for c in reversed(cs):
             acc *= x
             if c:  # + 0.0 changes at most the sign of a zero, and the next
-                acc += c  # nonzero add or the last + 0.0 gives the same bits
-        return acc if self._floats[-1] else acc + 0.0
+                acc += c  # nonzero add or the last + cs[0] gives the same bits
+        return acc if cs[0] else acc + cs[0]
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -324,7 +334,9 @@ def gaussian(x):
     """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2) at a real x,
     or over a float array in one pass that still calls math.exp at each
     point, so every value has the scalar bits: numpy's exp can differ
-    from it in the last place, and by CPU."""
+    from it in the last place, and by CPU.  A numpy float x of any dtype
+    is taken as float64 (``_float64``)."""
+    x = _float64(x)
     if isinstance(x, Real):
         return math.exp(-0.5 * x * x) / SQRT_2PI
     import numpy as np
@@ -338,10 +350,12 @@ def standardize(n: int, k, q: int) -> float:
 
     A numpy k of an integer or bool dtype, scalar or array, is taken as
     int64 (an int64 array uncopied), so that ``b * k - n * a`` cannot wrap
-    in a narrower or unsigned dtype; a float k is used as it is."""
+    in a narrower or unsigned dtype, and one of a float dtype as float64
+    (``_float64``); a Python float k is used as it is."""
     n, q = _check_nq(n, q)
     if hasattr(k, "dtype") and k.dtype.kind in "biu":
         k = k.astype("int64", copy=False)
+    k = _float64(k)
     a, b = cumulant(1, q).as_integer_ratio()
     c, d = cumulant(2, q).as_integer_ratio()
     return (b * k - n * a) / b * math.sqrt(d / (c * n))

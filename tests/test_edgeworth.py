@@ -26,7 +26,14 @@ from extbinom import (
     standardize,
     uniform_correction,
 )
-from extbinom.special import _hermite_coeffs, _scale, general_polynomial, uniform_polynomial
+from extbinom.special import (
+    _float64,
+    _hermite_coeffs,
+    _scale,
+    gaussian,
+    general_polynomial,
+    uniform_polynomial,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -155,10 +162,51 @@ class TestStandardize:
         assert approximate_scaled(40, 90.5, 3, 2).hex() == "0x1.a0df23ff5b8bdp-16"
         assert approximate_scaled(40, np.array([90.5]), 3, 2)[0].hex() == (
             "0x1.a0df23ff5b8bdp-16")
-        # a float32 k stays in float32
+        # a float32 k is taken as float64: the float64 call's values
         xs = standardize(40, np.array([0.25, 90.5], np.float32), 3)
-        assert xs.dtype == np.float32
-        assert xs.tolist() == [-8.449926376342773, 4.313351631164551]
+        assert xs.dtype == np.float64
+        assert [x.hex() for x in xs.tolist()] == [
+            "-0x1.0e65cb48d6d76p+3", "0x1.140df2e276a66p+2"]
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float32, np.float16, np.longdouble],
+        ids=["float32", "float16", "longdouble"])
+    def test_float_dtype_gives_the_float64_bits(self, dtype):
+        # every value below is exact in float16, so the float64 call at the
+        # same values is the reference; in their own dtype float32 parts
+        # from it near the sixth digit, float16 overflows and longdouble
+        # rounds each step to more bits
+        n, q = 40, 3
+        ks = np.arange(0, 241) / 2  # both sides of the mean, halves too
+        xs = np.arange(-48, 49) / 8
+        assert np.array_equal(ks.astype(dtype), ks) and np.array_equal(xs.astype(dtype), xs)
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        record = uniform_correction(2, q)
+        poly = uniform_polynomial(3, q)
+        cases = [
+            (lambda v: standardize(n, v, q), ks),
+            (lambda v: approximate_scaled(n, v, q, 0), ks),
+            (lambda v: approximate_scaled(n, v, q, 2), ks),
+            (lambda v: approximate_scaled(400, v, 2, 2), np.array([300.0, 400.0, 500.0])),
+            (record, xs),
+            (poly, xs),
+            (gaussian, xs),
+        ]
+        with np.errstate(all="raise"):
+            for f, values in cases:
+                want = bits(f(values))
+                assert bits(f(float(v)) for v in values) == want
+                got = f(values.astype(dtype))
+                assert got.dtype == np.float64
+                assert bits(got) == want
+                assert bits(f(dtype(v)) for v in values) == want
+
+    def test_float64_array_not_copied(self):
+        xs = np.arange(-3.0, 4.0)
+        assert _float64(xs) is xs
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

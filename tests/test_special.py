@@ -203,8 +203,15 @@ points = st.one_of(
 
 
 def full_horner(p, x):
-    """Horner over every coefficient, zeros included: the scheme whose
-    bits the evaluation keeps while it skips adding the zeros."""
+    """Horner over every coefficient, zeros included: exact from
+    Fraction(0) at an int or Fraction x, in floats from 0.0 * x + top
+    elsewhere.  The evaluation skips the add of each zero coefficient and
+    must keep this scheme's exact value and its float bits."""
+    if isinstance(x, (int, Fraction)):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
     top, *rest = (float(c) for c in reversed(p.coeffs))
     acc = 0.0 * x + top
     for c in rest:
@@ -301,6 +308,8 @@ class TestRationalPolynomial:
     @example(p=RationalPolynomial([0, 0, 1, 0, -2]), xs=[-0.0, 0.0, -5e-324, math.inf])
     @settings(max_examples=300)
     def test_zero_skipping_equals_full_horner(self, p, xs):
+        """At float points, scalar and array, the loop that skips zero
+        coefficients gives the bits of ``full_horner``."""
         # .tobytes() compares sign bits (so -0.0 != 0.0) and nan payloads
         arr = np.array(xs)
         with np.errstate(all="ignore"):
@@ -310,6 +319,44 @@ class TestRationalPolynomial:
             got, expected = p(x), full_horner(p, x)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(p=sparse_polys,
+           x=st.one_of(st.integers(-10**6, 10**6), st.integers(-2**80, 2**80), rationals))
+    @example(p=RationalPolynomial([0]), x=0)
+    @example(p=RationalPolynomial([0, 0, 1, 0, -2]), x=Fraction(-7, 3))
+    @example(p=RationalPolynomial([5, 0, 0, 0, 1]), x=0)
+    @settings(max_examples=150)
+    def test_exact_zero_skipping_equals_full_horner(self, p, x):
+        """At int and Fraction points the same loop is exact: it equals
+        ``full_horner``'s exact value and returns a Fraction of ints."""
+        got = p(x)
+        assert type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert got == full_horner(p, x)
+
+    def test_empty_coefficients_are_the_zero_polynomial(self):
+        p = RationalPolynomial([])
+        assert p.is_zero and p.coeffs == (0,) and p.degree == 0
+        assert p == RationalPolynomial([0, 0])
+        assert p(3) == 0 and p(0.5) == 0.0
+
+    @pytest.mark.parametrize("other", [1, 0.5, Fraction(1, 2)], ids=["int", "float", "Fraction"])
+    def test_add_of_a_non_polynomial_refused(self, other):
+        p = RationalPolynomial([1, 2])
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            other + p
+
+    @pytest.mark.parametrize("other", [0.5, "x", np.float64(2.0)], ids=["float", "str", "float64"])
+    def test_mul_by_a_non_rational_refused(self, other):
+        with pytest.raises(TypeError):
+            RationalPolynomial([1, 2]) * other
+
+    def test_equality_with_a_non_polynomial_is_false(self):
+        p = RationalPolynomial([1])
+        assert (p == 1) is False and (p != 1) is True
+        assert p != Fraction(1) and p != "1"
 
     @given(p=polys, r=polys, x=rationals)
     @settings(max_examples=80)
