@@ -23,7 +23,7 @@ from _thread import allocate_lock
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, zip_longest
 from math import comb, factorial, perm
 from numbers import Rational, Real
 from operator import add, index, mul
@@ -84,19 +84,22 @@ class RationalPolynomial:
     through ``_exact`` first), construct through ``_of_fractions``, which
     skips that conversion.
 
+    One operand rule: a point or scalar that is a ``numbers.Rational``
+    (an int, a Fraction, a numpy integer) is exact, taken as a Fraction of
+    Python ints (``_exact``) as each coefficient is, so nothing runs in
+    int64; anything else evaluates in float64 and is refused as a scalar.
+
     Evaluation runs one Horner loop, stepping in place and skipping the
     add of each zero coefficient but the constant, which leaves the exact
-    value and the bits of the full float scheme.  At an int or Fraction
-    point it is exact: it starts from Fraction(0), the point taken as a
-    Fraction of Python ints (``_exact``) as each coefficient is, so a
-    Fraction of numpy integers does not wrap.  At anything else (floats,
-    numpy arrays) it runs on float coefficients converted once, on the
-    first such call, takes a numpy float x as float64 (``_float64``) and
-    starts from ``0.0 * x``, a new value, so that x is never written.
+    value and the bits of the full float scheme.  At a rational point it
+    starts from Fraction(0).  At anything else (floats, numpy floats,
+    ``np.bool_``, arrays) it runs on float coefficients converted once, on
+    the first such call, takes a numpy float x as float64 (``_float64``)
+    and starts from ``0.0 * x``, a new value, so that x is never written.
 
-    Supports ``p + r``, ``c * p`` and ``p * c`` for an int or Fraction
-    scalar c, ``==``, hashing, ``repr``, ``degree`` and ``is_zero``; ``+``
-    and ``*`` with any other operand raise TypeError.  The correction
+    Supports ``p + r``, ``c * p`` and ``p * c`` for a rational scalar c,
+    ``==``, hashing, ``repr``, ``degree`` and ``is_zero``; ``+`` and
+    ``*`` with any other operand raise TypeError.  The correction
     builders assemble their sums in integers instead; the arithmetic
     serves the tests' partition oracles and worked identities.
     """
@@ -132,7 +135,7 @@ class RationalPolynomial:
         return self.coeffs == (Fraction(0),)
 
     def __call__(self, x):
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Rational):
             cs, acc, x = self.coeffs, Fraction(0), _exact(x)
         else:
             if self._floats is None:
@@ -148,16 +151,11 @@ class RationalPolynomial:
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial._of_fractions(out)
+        return RationalPolynomial._of_fractions(
+            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = _exact(other)
             return RationalPolynomial._of_fractions([c * other for c in self.coeffs])
         return NotImplemented
@@ -477,11 +475,12 @@ def general_polynomial(order: int, gammas, variance: Rational) -> RationalPolyno
     return _hermite_sum(weights)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def uniform_polynomial(order: int, q: int) -> RationalPolynomial:
     """Polynomial part of the correction term of the given order for the
-    uniform on {0, ..., q}, memoized: ``approximate_scaled`` reads it for
-    every k, and its float coefficients are converted once per entry.
+    uniform on {0, ..., q}, memoized for the last 256 (order, q):
+    ``approximate_scaled`` reads it for every k, and its float
+    coefficients are converted once per entry.
     Its bases are those of ``general_polynomial``, which the tests check
     it against; only the series algorithm differs.
 

@@ -33,7 +33,8 @@ PACKAGE_PARENT = Path(extbinom.__file__).resolve().parents[1]
 def run_python(*argv):
     """Run a fresh interpreter that imports the extbinom under test."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_PARENT)}
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -708,7 +709,7 @@ def buffered_env():
 
 def run_process(*argv, stdout=subprocess.PIPE):
     return subprocess.run([sys.executable, *argv], env=buffered_env(),
-                          stdout=stdout, stderr=subprocess.PIPE)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 def test_fresh_interpreters_import_the_package_under_test():
@@ -819,7 +820,7 @@ class TestProcessExit:
     def test_closed_stdout_exit_2(self):
         command = f"{shlex.quote(sys.executable)} -m extbinom.cli coeff 4 4 2 >&-"
         proc = subprocess.run(["sh", "-c", command], env=buffered_env(),
-                              capture_output=True)
+                              capture_output=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"error: stdout is closed\n"
 
@@ -877,5 +878,5 @@ class TestProcessExit:
             argv = ["-m", "extbinom.cli"]
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, *argv, *command.split()], env=env,
-                                  stdout=subprocess.PIPE, stderr=full)
+                                  stdout=subprocess.PIPE, stderr=full, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, b"")

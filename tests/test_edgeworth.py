@@ -409,6 +409,21 @@ class TestUniformBuilder:
             assert type(cached) is tuple and all(type(c) is int for c in cached)
             assert cached == hermite(m).coeffs
 
+    def test_memo_is_bounded(self):
+        """Past its bound the memo keeps its size, and each entry, kept or
+        built again after its eviction, equals a fresh build."""
+        bound = uniform_polynomial.cache_parameters()["maxsize"]
+        assert bound == 256
+        uniform_polynomial.cache_clear()
+        keys = [(order, q) for q in range(1, bound // 2 + 21) for order in (1, 2)]
+        for i, key in enumerate(keys, 1):
+            assert uniform_polynomial(*key) == uniform_polynomial.__wrapped__(*key)
+            assert uniform_polynomial.cache_info().currsize == min(i, bound)
+        for key in keys[:10] + keys[-10:]:  # evicted, then still held
+            assert uniform_polynomial(*key) == uniform_polynomial.__wrapped__(*key)
+        info = uniform_polynomial.cache_info()
+        assert (info.hits, info.currsize) == (10, bound)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             uniform_correction(0, 2)

@@ -101,7 +101,7 @@ def test_names_load_on_first_use():
     )
     for args in (["-c", code], ["-S", "-c", kernel]):
         proc = subprocess.run([sys.executable, *args], env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -271,6 +271,48 @@ class TestRationalPolynomial:
             assert all(type(v.numerator) is int and type(v.denominator) is int
                        for v in got.coeffs)
 
+    @pytest.mark.parametrize("x", [np.int64(3), np.uint8(3), np.int8(-3),
+                                   np.uint64(2**64 - 1), np.int64(-2**63)], ids=repr)
+    def test_numpy_integer_point_is_exact(self, x):
+        # a numpy integer is a numbers.Rational: the int call's Fraction,
+        # with x**2 past int64 and uint64
+        p = RationalPolynomial([Fraction(1, 3), 0, 1])
+        got = p(x)
+        assert type(got) is Fraction and got == p(int(x)) == Fraction(1, 3) + int(x) ** 2
+        assert type(got.numerator) is int and type(got.denominator) is int
+
+    @pytest.mark.parametrize("c", [np.int64(3), np.uint8(3), np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_scalar_is_exact(self, c):
+        p = RationalPolynomial([Fraction(1, 3), 0, 2**62])
+        want = p * int(c)
+        for got in (p * c, c * p):
+            assert got.coeffs == want.coeffs == (Fraction(int(c), 3), 0, int(c) * 2**62)
+            assert all(type(v.numerator) is int and type(v.denominator) is int
+                       for v in got.coeffs)
+
+    @pytest.mark.parametrize("x", [np.bool_(True), np.float64(3.0), np.float32(3.0),
+                                   np.array(3), np.array(3.0)], ids=repr)
+    def test_other_numpy_points_are_float64(self, x):
+        p = RationalPolynomial([Fraction(1, 3), 0, 1])
+        got = p(x)
+        assert type(got) is np.float64
+        assert got.tobytes() == np.float64(p(float(x))).tobytes()
+
+    @given(a=st.lists(sparse_coefficients, max_size=8),
+           b=st.lists(sparse_coefficients, max_size=8))
+    @example(a=[1, 2, 3], b=[0, 0, -3])
+    @example(a=[], b=[Fraction(1, 2)])
+    @example(a=[1], b=[0, 0, 5])
+    @settings(max_examples=100)
+    def test_add_is_the_padded_coefficientwise_sum(self, a, b):
+        size = max(len(a), len(b))
+        padded = [x + y for x, y in zip(a + [0] * (size - len(a)), b + [0] * (size - len(b)))]
+        for got in (RationalPolynomial(a) + RationalPolynomial(b),
+                    RationalPolynomial(b) + RationalPolynomial(a)):
+            assert got == RationalPolynomial(padded)
+            assert all(type(c) is Fraction and type(c.numerator) is int
+                       and type(c.denominator) is int for c in got.coeffs)
+
     def test_float_evaluation(self):
         p = RationalPolynomial([1, -2, 3])
         assert p(0.5) == pytest.approx(1 - 1 + 0.75)
