@@ -265,35 +265,51 @@ def gammas_up_to(order: int, q: int) -> tuple[Fraction, ...]:
 
 def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
     """Same cumulants derived from raw moments, as an independent check,
-    by ``_moment_cumulants``.
-
-    The recursion is kept for the last four q (``_moment_series``), so
-    each order is computed once per q kept: a call returns the prefix
-    computed so far and steps the recursion only past its longest order.
-    Steps run under one lock.  A step that raises, KeyboardInterrupt
-    included, drops that q's series, so a later call starts it afresh.
-    """
+    by ``_moment_cumulants``, whose cumulants ``_kept`` keeps per q
+    (``_moment_series``)."""
     order, q = _int(order, "cumulant order"), _int(q, "q")
-    kept = _moment_series(q)
-    with _extending:
-        gammas, steps = kept
-        try:
-            while len(gammas) < order:
-                gammas.append(next(steps))
-        except BaseException:  # the step may have lost its gamma on the way
-            kept[:] = [], _moment_cumulants(q)
-            raise
-        return tuple(gammas[:order])
+    return tuple(_kept(_moment_series, q, order)[:order])
 
 
 _extending = allocate_lock()
 
 
+def _kept(series, q: int, order: int) -> list:
+    """The items that the generator of ``series(q)`` has yielded so far,
+    at least order of them, for an int q.
+
+    A resumed route keeps its generator for the last four q in an
+    ``lru_cache`` ``series`` mapping q to [items, generator], so each item
+    is computed once per q kept: a call steps the generator only past the
+    longest order asked so far.  Steps run under one lock.  A step that
+    raises, KeyboardInterrupt included, drops that q's series for a new
+    one (``series.__wrapped__``), so a later call starts it afresh.  The
+    list returned only grows, so its first order items never change.
+    """
+    kept = series(q)
+    with _extending:
+        items, steps = kept
+        try:
+            while len(items) < order:
+                items.append(next(steps))
+        except BaseException:  # the step may have lost its state on the way
+            kept[:] = series.__wrapped__(q)
+            raise
+    return items
+
+
 @lru_cache(maxsize=4)
 def _moment_series(q: int) -> list:
-    """[gammas, steps] for an int q: the cumulants ``_moment_cumulants(q)``
+    """[gammas, steps] for ``_kept``: the cumulants ``_moment_cumulants(q)``
     has yielded so far, in order, and that generator."""
     return [[], _moment_cumulants(q)]
+
+
+@lru_cache(maxsize=4)
+def _uniform_series(q: int) -> list:
+    """[columns, steps] for ``_kept``: the items ``_uniform_columns(q)``
+    has yielded so far, in order, and that generator."""
+    return [[], _uniform_columns(q)]
 
 
 def _moment_cumulants(q: int):
@@ -490,29 +506,67 @@ def uniform_polynomial(order: int, q: int) -> RationalPolynomial:
 
     with sigma^2 = ``cumulant(2, q)`` and G(t) = sum_{m>=1} g_{2m} t^m,
     the bases g_k = gamma_{k+2} / (k+2)! at even k (the odd cumulants
-    vanish).  Over the bases' common denominator L, G = N(t) / L with
-    integer N, and the successive powers N^s, truncated at t^order, are
-    integer polynomials: [t^order] G^s = [t^order] N^s / L^s.  Even
-    degree 2*(order + s_max), even powers of x only.
+    vanish).  Over a common denominator L of the bases, G = N(t) / L with
+    integer N, and the successive powers N^s are integer polynomials:
+    [t^order] G^s = [t^order] N^s / L^s.  The column of order, L and its
+    [t^order] N^s for s = 1..order, is item order of
+    ``_uniform_columns(q)``, which ``_kept`` keeps per q
+    (``_uniform_series``); each weight is a reduced pair, the same over
+    any L.  Even degree 2*(order + s_max), even powers of x only.
     """
-    order = _int(order, "order")  # q reaches only cumulant, which gates it
-    # cumulant's Fractions are built from Python ints: no _ratio needed
-    gs = [_base(cumulant(k, q).as_integer_ratio(), k)
-          for k in range(4, 2 * order + 3, 2)]
-    den, numer = _over_lcm(gs)  # L and the N_m, with g_{2m} = numer[m - 1] / L
+    order, q = _int(order, "order"), _int(q, "q")
+    den, column = _kept(_uniform_series, q, order)[order - 1]
     vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
     weights = {}
-    power = [1] + [0] * order  # N^(s-1), truncated at t^order
-    for s in range(1, order + 1):
-        power = [0] * s + [
-            sum(power[i] * numer[d - i - 1] for i in range(s - 1, d))
-            for d in range(s, order + 1)
-        ]
+    for s, power in enumerate(column, 1):
         weights[2 * (order + s)] = _reduced(
-            vd ** (order + s) * power[order],
+            vd ** (order + s) * power,
             vn ** (order + s) * den**s * factorial(s),
         )
     return _hermite_sum(weights)
+
+
+_BLOCK = 8  # bases per widening of L in _uniform_columns, which rescales its table
+
+
+def _uniform_columns(q: int):
+    """Yield (L, [[t^m] N^s for s = 1..m]) for m = 1, 2, ..., without end,
+    for the uniform on {0, ..., q}: L is a common multiple of the
+    denominators of the bases g_4..g_{2m+2}, and N(t) = L * sum_j
+    g_{2j+2} t^j.
+
+    Each base is built once: one per order up to order ``_BLOCK``, so
+    that a caller who stops at a low order builds no base past it, and
+    then ``_BLOCK`` at a time.  L widens by a factor r to the lcm over
+    each new block, which rescales the table kept so far, [t^d] N^s for
+    s <= d < m, by r^s: past order ``_BLOCK``, once per block rather than
+    per base.  Each column then costs O(m^2) products, [t^m] N^s being
+    the sum of [t^d] N^(s-1) * N_(m-d) over d = s-1..m-1.
+    """
+    den = 1
+    bases: list[tuple[int, int]] = []  # the int pairs of g_4, g_6, ... so far
+    rows: list[list[int]] = []  # rows[s - 1] = [[t^d] N^s for d = s..m-1]
+    for m in count(1):
+        if m > len(bases):
+            ahead = _BLOCK - 1 if m > _BLOCK else 0
+            # cumulant's Fractions are built from Python ints: no _ratio needed
+            block = [_base(cumulant(k, q).as_integer_ratio(), k)
+                     for k in range(2 * m + 2, 2 * (m + ahead) + 4, 2)]
+            bases += block
+            r = math.lcm(den, *(b for _, b in block)) // den
+            den *= r
+            scale = 1
+            for s, row in enumerate(rows):
+                scale *= r  # r**(s + 1)
+                rows[s] = list(map(scale.__mul__, row))
+        numerator, denominator = bases[m - 1]
+        # rows[0] = N_1..N_(m-1) pairs with each row read from its top end
+        column = [numerator * (den // denominator),
+                  *(sum(map(mul, reversed(row), rows[0])) for row in rows)]
+        rows.append([])
+        for row, c in zip(rows, column):
+            row.append(c)
+        yield den, column
 
 
 def approximate_scaled(n: int, k, q: int, order: int = 0):

@@ -1,5 +1,5 @@
 """Closed-form cumulants of the uniform on {0..q} against the
-moment-recursion route."""
+moment-recursion route, and the two routes that keep a series per q."""
 
 from __future__ import annotations
 
@@ -8,12 +8,21 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_to, special
-from extbinom.special import _fraction, _moment_series, gammas_from_moments
+from extbinom.special import (
+    _fraction,
+    _moment_series,
+    _uniform_series,
+    gammas_from_moments,
+    gammas_up_to,
+    general_polynomial,
+    uniform_polynomial,
+)
 
 
 class TestClosedForm:
@@ -189,3 +198,115 @@ class TestKeptMomentSeries:
         assert gammas_from_moments(10, q) == fresh_moments[10, q]
         assert gammas_from_moments(5, q) == fresh_moments[5, q]
         assert gammas_from_moments(12, q) == fresh_moments[12, q]
+
+
+UNIFORM_QS = (1, 2, 8, 10**9)
+UNIFORM_ORDERS = range(1, 31)
+
+
+def clear_uniform():
+    uniform_polynomial.cache_clear()
+    _uniform_series.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def fresh_uniform():
+    """uniform_polynomial(order, q) built from no memo entry and no kept
+    series, for every q of UNIFORM_QS and order of UNIFORM_ORDERS."""
+    fresh = {}
+    for q in UNIFORM_QS:
+        for order in UNIFORM_ORDERS:
+            clear_uniform()
+            fresh[order, q] = uniform_polynomial(order, q)
+    clear_uniform()
+    return fresh
+
+
+class TestKeptUniformSeries:
+    """uniform_polynomial keeps its columns of truncated powers per q and
+    steps them only past the longest order asked so far; no call order,
+    thread or interrupted step may change what a call returns."""
+
+    def test_fresh_builds_give_the_general_route(self, fresh_uniform):
+        # the kept table is rescaled to a wider L at most of orders 2..9 and at 17
+        for q in UNIFORM_QS:
+            gammas, variance = gammas_up_to(42, q), cumulant(2, q)
+            for order in range(1, 21):
+                assert fresh_uniform[order, q] == general_polynomial(2 * order, gammas, variance)
+
+    @given(q=st.sampled_from(UNIFORM_QS), shuffled=st.permutations(UNIFORM_ORDERS))
+    @settings(max_examples=10, deadline=None)
+    def test_any_call_order(self, fresh_uniform, q, shuffled):
+        for orders in (UNIFORM_ORDERS, UNIFORM_ORDERS[::-1], shuffled):
+            clear_uniform()
+            for order in orders:
+                assert uniform_polynomial(order, q) == fresh_uniform[order, q]
+
+    def test_threads_interleave_orders(self, fresh_uniform):
+        q = 10**9
+        clear_uniform()
+        start = threading.Barrier(4, timeout=60)
+        results = {}
+
+        def work(i):
+            orders = list(UNIFORM_ORDERS[i::4])
+            random.Random(i).shuffle(orders)
+            start.wait()
+            results[i] = [(order, uniform_polynomial(order, q)) for order in orders]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            for order, poly in got:
+                assert poly == fresh_uniform[order, q]
+
+    # _base runs while a block of bases widens L, before the kept table is
+    # rescaled; mul while a column's sums are taken
+    @pytest.mark.parametrize("name", ["_base", "mul"])
+    def test_interrupted_step_leaves_no_short_series(self, fresh_uniform, monkeypatch, name):
+        q = 8
+        clear_uniform()
+        assert uniform_polynomial(3, q) == fresh_uniform[3, q]
+        step, calls = getattr(special, name), []
+
+        def interrupt_once(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return step(*args)
+
+        monkeypatch.setattr(special, name, interrupt_once)
+        with pytest.raises(KeyboardInterrupt):
+            uniform_polynomial(20, q)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for order in (20, 5, 12, 24):
+            assert uniform_polynomial(order, q) == fresh_uniform[order, q]
+
+    def test_numpy_q_reads_the_int_series(self, fresh_uniform):
+        clear_uniform()
+        assert uniform_polynomial(12, 8) == fresh_uniform[12, 8]
+        before = _uniform_series.cache_info()
+        got = uniform_polynomial(14, np.int64(8))  # a memo miss: typed keys
+        info = _uniform_series.cache_info()
+        assert (info.hits, info.misses) == (before.hits + 1, before.misses)
+        assert got == fresh_uniform[14, 8]
+        assert all(type(c.numerator) is int and type(c.denominator) is int
+                   for c in got.coeffs)
+
+    def test_four_q_kept(self):
+        clear_uniform()
+        for q in range(1, 7):
+            uniform_polynomial(2, q)
+        assert _uniform_series.cache_info().currsize == 4
+        assert _uniform_series.cache_parameters()["maxsize"] == 4

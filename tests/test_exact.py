@@ -51,7 +51,12 @@ from extbinom import (
     uniform_correction,
     uniform_error,
 )
-from extbinom.special import _hermite_coeffs, _moment_series, uniform_polynomial
+from extbinom.special import (
+    _hermite_coeffs,
+    _moment_series,
+    _uniform_series,
+    uniform_polynomial,
+)
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -561,11 +566,13 @@ GATED = {
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
 CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant, _moment_series,
-          uniform_polynomial, harness._joined, harness._partial_sum)
+          _uniform_series, uniform_polynomial, harness._joined, harness._partial_sum)
 
 
 def uncached_uniform_correction(order, q):
-    """uniform_correction(order, q) built anew, past the polynomial cache."""
+    """uniform_correction(order, q) built anew, past the polynomial cache
+    and from no kept uniform series."""
+    _uniform_series.cache_clear()
     return GaussianPolynomial(uniform_polynomial.__wrapped__(order, q))
 
 
