@@ -43,7 +43,7 @@ import sys
 # Largest --order (expand, sweep) and --nu (qpoly).  Measured on a 2-vCPU
 # box with Python 3.11, whole commands as README states them: `expand 3 1
 # 8 --order 40`, which builds every correction up to order 40 at q = 8,
-# takes about 0.11 s (medians of 9 runs 0.11 s); the same sum to order 60,
+# takes about 0.11 s (median of 9 runs); the same sum to order 60,
 # `approximate_scaled(3, 1, 8, 60)` in a new process, about 0.6 s.
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`

@@ -265,51 +265,45 @@ def gammas_up_to(order: int, q: int) -> tuple[Fraction, ...]:
 
 def gammas_from_moments(order: int, q: int) -> tuple[Fraction, ...]:
     """Same cumulants derived from raw moments, as an independent check,
-    by ``_moment_cumulants``, whose cumulants ``_kept`` keeps per q
-    (``_moment_series``)."""
+    by ``_moment_cumulants``, whose cumulants ``_kept`` keeps per q."""
     order, q = _int(order, "cumulant order"), _int(q, "q")
-    return tuple(_kept(_moment_series, q, order)[:order])
+    return tuple(_kept(_moment_cumulants, q, order)[:order])
 
 
 _extending = allocate_lock()
 
 
-def _kept(series, q: int, order: int) -> list:
-    """The items that the generator of ``series(q)`` has yielded so far,
-    at least order of them, for an int q.
+@lru_cache(maxsize=4)
+def _series(q: int) -> dict:
+    """The resumed routes' series of q for ``_kept``: each generator
+    function to [the items it has yielded so far, in order, its
+    generator]."""
+    return {}
 
-    A resumed route keeps its generator for the last four q in an
-    ``lru_cache`` ``series`` mapping q to [items, generator], so each item
-    is computed once per q kept: a call steps the generator only past the
-    longest order asked so far.  Steps run under one lock.  A step that
-    raises, KeyboardInterrupt included, drops that q's series for a new
-    one (``series.__wrapped__``), so a later call starts it afresh.  The
-    list returned only grows, so its first order items never change.
+
+def _kept(steps, q: int, order: int) -> list:
+    """The items that the generator ``steps(q)`` has yielded so far, at
+    least order of them, for an int q.
+
+    A resumed route keeps its generator in ``_series(q)``, for the last
+    four q, so each item is computed once per q kept: a call steps the
+    generator only past the longest order asked so far.  Steps run under
+    one lock.  A step that raises, KeyboardInterrupt included, drops that
+    route's series of q, so a later call starts it afresh.  The list
+    returned only grows, so its first order items never change.
     """
-    kept = series(q)
     with _extending:
-        items, steps = kept
+        kept = _series(q)
+        if steps not in kept:
+            kept[steps] = [[], steps(q)]
+        items, generator = kept[steps]
         try:
             while len(items) < order:
-                items.append(next(steps))
+                items.append(next(generator))
         except BaseException:  # the step may have lost its state on the way
-            kept[:] = series.__wrapped__(q)
+            del kept[steps]
             raise
     return items
-
-
-@lru_cache(maxsize=4)
-def _moment_series(q: int) -> list:
-    """[gammas, steps] for ``_kept``: the cumulants ``_moment_cumulants(q)``
-    has yielded so far, in order, and that generator."""
-    return [[], _moment_cumulants(q)]
-
-
-@lru_cache(maxsize=4)
-def _uniform_series(q: int) -> list:
-    """[columns, steps] for ``_kept``: the items ``_uniform_columns(q)``
-    has yielded so far, in order, and that generator."""
-    return [[], _uniform_columns(q)]
 
 
 def _moment_cumulants(q: int):
@@ -346,15 +340,18 @@ def _moment_cumulants(q: int):
 
 def gaussian(x):
     """Standard normal density (1/sqrt(2*pi)) * exp(-x**2/2) at a real x,
-    or over a float array in one pass that still calls math.exp at each
-    point, so every value has the scalar bits: numpy's exp can differ
-    from it in the last place, and by CPU.  A numpy float x of any dtype
-    is taken as float64 (``_float64``)."""
+    or over a float array of any shape in one pass that still calls
+    math.exp at each point, so every value has the scalar bits: numpy's
+    exp can differ from it in the last place, and by CPU.  A numpy float
+    x of any dtype is taken as float64 (``_float64``); a 0-d array gives
+    the scalar result, since arithmetic on it gives a numpy scalar."""
     x = _float64(x)
-    if isinstance(x, Real):
-        return math.exp(-0.5 * x * x) / SQRT_2PI
+    e = -0.5 * x * x
+    if isinstance(e, Real):
+        return math.exp(e) / SQRT_2PI
     import numpy as np
-    return np.fromiter(map(math.exp, (-0.5 * x * x).tolist()), float, len(x)) / SQRT_2PI
+    exps = np.fromiter(map(math.exp, e.ravel().tolist()), float, e.size)
+    return exps.reshape(e.shape) / SQRT_2PI
 
 
 def standardize(n: int, k, q: int) -> float:
@@ -510,12 +507,12 @@ def uniform_polynomial(order: int, q: int) -> RationalPolynomial:
     integer N, and the successive powers N^s are integer polynomials:
     [t^order] G^s = [t^order] N^s / L^s.  The column of order, L and its
     [t^order] N^s for s = 1..order, is item order of
-    ``_uniform_columns(q)``, which ``_kept`` keeps per q
-    (``_uniform_series``); each weight is a reduced pair, the same over
-    any L.  Even degree 2*(order + s_max), even powers of x only.
+    ``_uniform_columns(q)``, which ``_kept`` keeps per q; each weight is
+    a reduced pair, the same over any L.  Even degree 2*(order + s_max),
+    even powers of x only.
     """
     order, q = _int(order, "order"), _int(q, "q")
-    den, column = _kept(_uniform_series, q, order)[order - 1]
+    den, column = _kept(_uniform_columns, q, order)[order - 1]
     vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
     weights = {}
     for s, power in enumerate(column, 1):

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from extbinom import bernoulli, cumulant, cumulants_from_moments, cumulants_up_to, special
 from extbinom.special import (
     _fraction,
-    _moment_series,
-    _uniform_series,
+    _series,
     gammas_from_moments,
     gammas_up_to,
     general_polynomial,
@@ -129,9 +128,9 @@ def fresh_moments():
     fresh = {}
     for q in MOMENT_QS:
         for order in MOMENT_ORDERS:
-            _moment_series.cache_clear()
+            _series.cache_clear()
             fresh[order, q] = gammas_from_moments(order, q)
-    _moment_series.cache_clear()
+    _series.cache_clear()
     return fresh
 
 
@@ -148,13 +147,13 @@ class TestKeptMomentSeries:
     @settings(max_examples=20, deadline=None)
     def test_any_call_order(self, fresh_moments, q, shuffled):
         for orders in (MOMENT_ORDERS, MOMENT_ORDERS[::-1], shuffled):
-            _moment_series.cache_clear()
+            _series.cache_clear()
             for order in orders:
                 assert gammas_from_moments(order, q) == fresh_moments[order, q]
 
     def test_threads_interleave_orders(self, fresh_moments):
         q = 10**9
-        _moment_series.cache_clear()
+        _series.cache_clear()
         start = threading.Barrier(4, timeout=60)
         results = {}
 
@@ -182,7 +181,7 @@ class TestKeptMomentSeries:
 
     def test_interrupted_step_leaves_no_short_series(self, fresh_moments, monkeypatch):
         q = 8
-        _moment_series.cache_clear()
+        _series.cache_clear()
         assert gammas_from_moments(3, q) == fresh_moments[3, q]
         calls = []
 
@@ -206,7 +205,7 @@ UNIFORM_ORDERS = range(1, 31)
 
 def clear_uniform():
     uniform_polynomial.cache_clear()
-    _uniform_series.cache_clear()
+    _series.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -296,9 +295,9 @@ class TestKeptUniformSeries:
     def test_numpy_q_reads_the_int_series(self, fresh_uniform):
         clear_uniform()
         assert uniform_polynomial(12, 8) == fresh_uniform[12, 8]
-        before = _uniform_series.cache_info()
+        before = _series.cache_info()
         got = uniform_polynomial(14, np.int64(8))  # a memo miss: typed keys
-        info = _uniform_series.cache_info()
+        info = _series.cache_info()
         assert (info.hits, info.misses) == (before.hits + 1, before.misses)
         assert got == fresh_uniform[14, 8]
         assert all(type(c.numerator) is int and type(c.denominator) is int
@@ -308,5 +307,61 @@ class TestKeptUniformSeries:
         clear_uniform()
         for q in range(1, 7):
             uniform_polynomial(2, q)
-        assert _uniform_series.cache_info().currsize == 4
-        assert _uniform_series.cache_parameters()["maxsize"] == 4
+        assert _series.cache_info().currsize == 4
+        assert _series.cache_parameters()["maxsize"] == 4
+
+
+class TestOneSeriesHolder:
+    """Both resumed routes keep their series of q in one entry of
+    _series: an interrupted step of one route leaves the other's series,
+    and eviction drops both."""
+
+    def test_both_routes_share_one_entry(self, fresh_moments, fresh_uniform):
+        q = 8
+        clear_uniform()
+        assert gammas_from_moments(12, q) == fresh_moments[12, q]
+        assert uniform_polynomial(5, q) == fresh_uniform[5, q]
+        assert _series.cache_info().currsize == 1
+        assert set(_series(q)) == {special._moment_cumulants, special._uniform_columns}
+
+    @pytest.mark.parametrize("name", ["_base", "mul"])
+    def test_interrupted_uniform_step_keeps_the_moment_series(
+            self, fresh_moments, fresh_uniform, monkeypatch, name):
+        q = 8
+        clear_uniform()
+        assert gammas_from_moments(12, q) == fresh_moments[12, q]
+        assert uniform_polynomial(3, q) == fresh_uniform[3, q]
+        gammas = _series(q)[special._moment_cumulants][0]
+        step, calls = getattr(special, name), []
+
+        def interrupt_once(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return step(*args)
+
+        monkeypatch.setattr(special, name, interrupt_once)
+        with pytest.raises(KeyboardInterrupt):
+            uniform_polynomial(20, q)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        kept = _series(q)
+        assert special._uniform_columns not in kept
+        assert kept[special._moment_cumulants][0] is gammas
+        assert len(gammas) == 12
+        assert gammas_from_moments(12, q) == fresh_moments[12, q]
+        assert uniform_polynomial(20, q) == fresh_uniform[20, q]
+
+    def test_four_other_q_evict_both_routes(self):
+        q = 8
+        clear_uniform()
+        gammas_from_moments(12, q)
+        uniform_polynomial(5, q)
+        gammas_from_moments(4, 1)
+        gammas_from_moments(4, 2)
+        uniform_polynomial(2, 3)
+        uniform_polynomial(2, 4)
+        assert _series.cache_info().currsize == 4
+        misses = _series.cache_info().misses
+        assert _series(q) == {}
+        assert _series.cache_info().misses == misses + 1

@@ -336,6 +336,26 @@ class TestGaussianPolynomialCall:
         assert type(got) is np.ndarray
         assert got.tobytes() == np.array([term(x) for x in xs.tolist()]).tobytes()
 
+    def test_any_shape_gives_the_scalar_bits(self):
+        # a 0-d array takes the scalar path; 1-D and 2-D arrays keep their
+        # shape, and every entry has the bits of the scalar call
+        term = uniform_correction(2, 3)
+        cases = [
+            (gaussian, (np.arange(-12, 12) / 4).reshape(4, 6)),
+            (term, (np.arange(-12, 12) / 4).reshape(4, 6)),
+            (lambda k: approximate_scaled(10, k, 2, 1), np.arange(12).reshape(3, 4)),
+        ]
+        for f, values in cases:
+            want = np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)
+            for v, w in zip(values.ravel(), want.ravel().tolist()):
+                got = f(np.array(v))
+                assert np.ndim(got) == 0
+                assert float(got).hex() == w.hex()
+            for shaped, w in ((values[1], want[1]), (values, want)):
+                got = f(shaped)
+                assert got.dtype == np.float64 and got.shape == shaped.shape
+                assert got.tobytes() == w.tobytes()
+
     def test_exact_points_evaluated_in_floats(self):
         term = uniform_correction(2, 3)
         for x, f in ((2, 2.0), (Fraction(1, 2), 0.5), (0, 0.0)):

@@ -53,8 +53,7 @@ from extbinom import (
 )
 from extbinom.special import (
     _hermite_coeffs,
-    _moment_series,
-    _uniform_series,
+    _series,
     uniform_polynomial,
 )
 
@@ -565,14 +564,14 @@ GATED = {
     "first_order_cross_check": (lambda n, q: first_order_cross_check(n, 150, q),
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
-CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant, _moment_series,
-          _uniform_series, uniform_polynomial, harness._joined, harness._partial_sum)
+CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant, _series,
+          uniform_polynomial, harness._joined, harness._partial_sum)
 
 
 def uncached_uniform_correction(order, q):
     """uniform_correction(order, q) built anew, past the polynomial cache
     and from no kept uniform series."""
-    _uniform_series.cache_clear()
+    _series.cache_clear()
     return GaussianPolynomial(uniform_polynomial.__wrapped__(order, q))
 
 
