@@ -76,20 +76,24 @@ def _filled(fraction_type, numerator: int, denominator: int):
 
 
 def prefix(n: int, q: int, stop: int) -> list[int]:
-    """a_0..a_stop of the row for (n, q), as a list of stop + 1 ints."""
+    """a_0..a_stop of the row for (n, q), as a list of stop + 1 ints, in
+    O(stop) memory whatever q is."""
     # Q+1 leading zeros stand in for a_{-Q-1}..a_{-1}, so a[k+Q+1] = a_k
-    # and the one step holds from k = 1 without a branch.  The factors
-    # c1, cQ and cQ1 of a_{k-1}, a_{k-Q} and a_{k-Q-1} are carried from
-    # step to step.
+    # and the one step holds from k = 1 without a branch.  A stop below
+    # Q-1 needs only stop+2 of them: for k <= stop the far reads a[k+1]
+    # and a[k] are zeros, as a_{k-Q} and a_{k-Q-1} are.  The factors c1,
+    # cQ and cQ1 of a_{k-1}, a_{k-Q} and a_{k-Q-1} are carried from step
+    # to step.
     Q = q + 1
-    a = [0] * (Q + 1) + [1]
+    pad = min(Q + 1, stop + 2)
+    a = [0] * pad + [1]
     c1, cQ, cQ1 = n, 1 - Q - n * Q, n * Q - n + Q
     for k in range(1, stop + 1):
         a.append((c1 * a[-1] + cQ * a[k + 1] + cQ1 * a[k]) // k)
         c1 += 1
         cQ += 1
         cQ1 -= 1
-    del a[: Q + 1]
+    del a[:pad]
     return a
 
 

@@ -13,8 +13,11 @@ ends the process.  Exit code 0 on success, 2 on a usage or domain
 error, which includes a float that is not finite (nan, inf) in any
 cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
-runs.  A failed write, to --out or to stdout, or a closed stdout, also
-exits 2, and so does an error whose ``error:`` line stderr cannot take.
+runs.  ``cumulants --oracle`` is also refused before any work when its
+estimated cost, from --max-order and the bit length of q + 1, is above
+MAX_ORACLE_COST.  A failed write, to --out or to stdout, or a closed
+stdout, also exits 2, and so does an error whose ``error:`` line stderr
+cannot take.
 
 A short command's time is mostly start-up, so each subcommand imports,
 when it runs, only the library code it calls, and ``_render`` imports
@@ -48,7 +51,17 @@ import sys
 MAX_ORDER = 40
 # Largest --max-order (cumulants): `cumulants 8 --max-order 400 --oracle`
 # takes about 0.26 s on the same box, 600 about 0.8 s (0.6 s at q = 2).
+# The oracle's time also grows with the digits of q, which
+# MAX_ORACLE_COST bounds.
 MAX_CUMULANT_ORDER = 400
+# Largest estimated cost K**3 * b**1.5 of `cumulants --oracle`, K the
+# --max-order and b = (q + 1).bit_length(): the moment recursion's k-th
+# step sums k products of ints of about k*b bits.  In process on the same
+# box, gammas_from_moments took 1.0e-10 to 2.4e-10 s per unit over K 12
+# to 400 and b 8 to 1000, and 4.1 s at K = 400, b = 45.  Whole commands
+# at the limit, from K = 400 at q = 32766 to K = 12 at b = 17498, took
+# 0.5 to 0.9 s (best of 3).
+MAX_ORACLE_COST = 4 * 10**9
 # the bounded options by argparse dest, checked in main before dispatch
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
@@ -148,6 +161,11 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_cumulants(args) -> str:
+    bits = (max(args.q, 0) + 1).bit_length()  # gammas_up_to refuses a q below 1
+    if args.oracle and args.max_order**3 * bits**1.5 > MAX_ORACLE_COST:
+        raise ValueError(
+            f"--oracle at --max-order {args.max_order} and {bits} bits of q + 1 "
+            f"exceeds the cost limit of {MAX_ORACLE_COST} (K**3 * b**1.5)")
     from extbinom.special import gammas_from_moments, gammas_up_to
 
     gammas = gammas_up_to(args.max_order, args.q)

@@ -60,7 +60,7 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
     and the first k attaining it, evaluated over k = 0..n*q//2 only: the
     row and every correction are even about n*q/2.  Every value has the
     bits of ``approximate_scaled`` at each k.  It is the one-row case of
-    ``rate_sweep``'s evaluation, and shares its caches."""
+    ``rate_sweep``'s evaluation, and shares its cache."""
     n, q = _check_nq(n, q)
     return _sup_errors((n,), q, _int(order, "order", 0))[0]
 
@@ -68,8 +68,8 @@ def uniform_error(n: int, q: int, order: int = 0) -> tuple[float, int]:
 def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, int]]:
     """uniform_error(n, q, order) for each n in ns: the half rows end to
     end, each correction evaluated once, each first argmax on its slice."""
-    exact, _, base, lengths = _joined(ns, q)
-    err = abs(exact - base * (1.0 + _partial_sum(ns, q, order)))
+    exact, _, base, lengths, corr = _table(ns, q, order)
+    err = abs(exact - base * (1.0 + corr))
     out, start = [], 0
     for length in lengths:
         k = int(err[start : start + length].argmax())
@@ -78,16 +78,25 @@ def _sup_errors(ns: tuple[int, ...], q: int, order: int) -> list[tuple[float, in
     return out
 
 
-@lru_cache(maxsize=1)
-def _joined(ns: tuple[int, ...], q: int):
-    """The order-independent arrays over k = 0..n*q//2 of every n in ns,
-    end to end and read-only since every caller shares them: the exact
-    scaled values, x = standardize(n, k, q) and gaussian(x), and each
-    row's length.  Every table, a one-row one too, is built by joining its
-    rows' arrays.  The float arrays take 24 bytes per point, less than the
-    integer rows they come from."""
+@lru_cache(maxsize=4)
+def _table(ns: tuple[int, ...], q: int, order: int):
+    """The arrays over k = 0..n*q//2 of every n in ns, end to end and
+    read-only, as every caller shares them: the exact scaled values,
+    x = standardize(n, k, q), gaussian(x), each row's length and the sum
+    of P_v(x) / n**v over v = 1..order (0.0 at order 0).  Order 0 joins
+    its rows' arrays; order v shares order v - 1's and adds P_v(x) over
+    each row's float(n**v), which numpy takes from the int, so every bit
+    is kept.  Four entries let a sweep over orders 0, 1, 2, ... convert
+    each row and evaluate each correction polynomial once.  The shared
+    arrays take 24 bytes per point and each order's sum 8 more."""
     import numpy as np
 
+    if order:
+        exact, x, base, lengths, below = _table(ns, q, order - 1)
+        div = np.repeat([float(n**order) for n in ns], lengths)
+        corr = below + uniform_polynomial(order, q)(x) / div
+        corr.flags.writeable = False
+        return exact, x, base, lengths, corr
     rows = []
     for n in ns:
         half = n * q // 2 + 1  # the error is bit-symmetric, so its first max is in here
@@ -99,25 +108,7 @@ def _joined(ns: tuple[int, ...], q: int):
     arrays = [np.concatenate(a) for a in zip(*rows)]
     for a in arrays:
         a.flags.writeable = False
-    return (*arrays, tuple(len(x) for _, x, _ in rows))
-
-
-@lru_cache(maxsize=4)
-def _partial_sum(ns: tuple[int, ...], q: int, order: int):
-    """sum_{v=1}^{order} P_v(x) / n**v over _joined(ns, q)'s x, read-only:
-    the sum of order - 1 plus P_order(x) over each row's float(n**order),
-    the float numpy takes from the int n**order, so every bit is kept.
-    Four entries of 8 bytes per point let a sweep over orders 0, 1, 2, ...
-    evaluate each correction polynomial once."""
-    if order == 0:
-        return 0.0
-    import numpy as np
-
-    _, x, _, lengths = _joined(ns, q)
-    div = np.repeat([float(n**order) for n in ns], lengths)
-    corr = _partial_sum(ns, q, order - 1) + uniform_polynomial(order, q)(x) / div
-    corr.flags.writeable = False
-    return corr
+    return (*arrays, tuple(len(x) for _, x, _ in rows), 0.0)
 
 
 def rate_sweep(q: int, order: int, n_list: Sequence[int]) -> SweepReport:

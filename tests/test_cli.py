@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import extbinom
 from extbinom import coefficient, compute_row, harness, special
-from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORDER, main
+from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORACLE_COST, MAX_ORDER, main
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,6 +345,35 @@ class TestOrderLimits:
         code, out, err = run(capsys, *template.format(limit + 1).split())
         assert (code, out) == (2, "")
         assert err == f"error: {option} {limit + 1} exceeds the limit of {limit}\n"
+
+    @pytest.mark.parametrize(
+        "max_order,allowed,refused,bits",
+        [(400, 8, 10**18, 60), (400, 2**15 - 2, 2**15 - 1, 16),
+         (200, 2**62 - 2, 2**62 - 1, 63), (12, 2**17498 - 2, 2**17498 - 1, 17499)],
+        ids=["readme", "order-400", "order-200", "order-12"],
+    )
+    def test_oracle_refused_above_cost(self, capsys, no_int_digit_limit, no_work,
+                                       max_order, allowed, refused, bits):
+        def argv(q):
+            return ["cumulants", str(q), "--max-order", str(max_order), "--oracle"]
+
+        with pytest.raises(WorkStarted):
+            main(argv(allowed))
+        code, out, err = run(capsys, *argv(refused))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --oracle at --max-order {max_order} and {bits} bits"
+                       f" of q + 1 exceeds the cost limit of {MAX_ORACLE_COST}"
+                       " (K**3 * b**1.5)\n")
+        with pytest.raises(WorkStarted):  # the same q without the oracle runs
+            main(argv(refused)[:-1])
+
+
+def test_one_shot_commands_at_a_huge_q(capsys):
+    q = str(10**18)
+    assert run(capsys, "coeff", "3", "1", q) == (0, "3\n", "")
+    code, out, err = run(capsys, "expand", "3", "1", q, "--order", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"3,1,{q},2,")
 
 
 class TestNonFinite:

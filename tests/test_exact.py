@@ -565,7 +565,7 @@ GATED = {
                                 (200, 2), (0, 2), "n must be a positive integer, got 0"),
 }
 CACHES = (compute_row, bernoulli, _hermite_coeffs, cumulant, _series,
-          uniform_polynomial, harness._joined, harness._partial_sum)
+          uniform_polynomial, harness._table)
 
 
 def uncached_uniform_correction(order, q):
@@ -631,11 +631,9 @@ class TestNumpyIntegers:
 
     def test_rate_sweep(self):
         ns = np.array([50, 100, 200])
-        harness._joined.cache_clear()
-        harness._partial_sum.cache_clear()
+        harness._table.cache_clear()
         got = rate_sweep(self.Q, 1, ns)
-        harness._joined.cache_clear()
-        harness._partial_sum.cache_clear()
+        harness._table.cache_clear()
         assert got == rate_sweep(2, 1, [50, 100, 200])
         assert all(type(r.n) is int for r in got.records)
 
@@ -710,11 +708,9 @@ class TestNumpyIntegers:
         self.assert_int_coefficients(uncached_uniform_correction(10, 2), want)
 
     def test_rate_sweep_order(self):
-        harness._joined.cache_clear()
-        harness._partial_sum.cache_clear()
+        harness._table.cache_clear()
         got = rate_sweep(2, np.int64(3), [50, 100, 200])
-        harness._joined.cache_clear()
-        harness._partial_sum.cache_clear()
+        harness._table.cache_clear()
         assert got == rate_sweep(2, 3, [50, 100, 200])
         assert type(got.order) is int
 

@@ -34,8 +34,7 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def clear_sweep_caches():
-    harness._joined.cache_clear()
-    harness._partial_sum.cache_clear()
+    harness._table.cache_clear()
 
 
 class TestExactScaledValue:
@@ -117,8 +116,8 @@ class TestUniformError:
     def test_cached_arrays_are_read_only(self):
         # a one-row table is joined from its row's arrays, as every table is
         uniform_error(50, 2, 2)
-        exact, x, base, _ = harness._joined((50,), 2)
-        sums = harness._partial_sum((50,), 2, 1), harness._partial_sum((50,), 2, 2)
+        exact, x, base, _, _ = harness._table((50,), 2, 0)
+        sums = harness._table((50,), 2, 1)[-1], harness._table((50,), 2, 2)[-1]
         for a in (exact, x, base, *sums):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -129,9 +128,9 @@ class TestUniformError:
         row_calls = compute_row.cache_info()
         for order in range(1, 4):
             rate_sweep(2, order, [50, 100, 200, 400])
-        info = harness._joined.cache_info()
-        # orders 1..3 read the joined rows, in _sup_errors and in _partial_sum
-        assert (info.misses, info.hits) == (1, 6)
+        info = harness._table.cache_info()
+        # each of orders 1..3 adds its sum to the entry of the order below
+        assert (info.misses, info.hits) == (4, 3)
         assert compute_row.cache_info() == row_calls
 
 
@@ -224,15 +223,15 @@ class TestCachedSums:
     def test_cached_arrays_are_read_only(self):
         ns = (50, 100, 200)
         rate_sweep(2, 2, ns)
-        exact, x, base, _ = harness._joined(ns, 2)
-        sums = harness._partial_sum(ns, 2, 1), harness._partial_sum(ns, 2, 2)
+        exact, x, base, _, _ = harness._table(ns, 2, 0)
+        sums = harness._table(ns, 2, 1)[-1], harness._table(ns, 2, 2)[-1]
         for a in (exact, x, base, *sums):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
     def test_mixed_n_lists_equal_cold(self):
-        # each call evicts the one-entry joined table while _partial_sum
-        # still holds the sums of another n list
+        # one-row tables and another n list's orders evict some of the
+        # entries of a's orders and leave others
         a, b = (50, 100, 200, 400), (7, 77, 777)
         calls = (
             [(rate_sweep, (3, 2, a))]
@@ -245,6 +244,16 @@ class TestCachedSums:
             cold.append(f(*args))
         clear_sweep_caches()
         assert [f(*args) for f, args in calls] == cold
+
+    def test_one_row_query_between_orders_keeps_the_table(self):
+        # the next order reads its own entry below, not the rows again
+        ns = [50, 100, 200, 400]
+        clear_sweep_caches()
+        rate_sweep(3, 2, ns)
+        uniform_error(50, 3, 0)
+        hits = compute_row.cache_info().hits
+        rate_sweep(3, 3, ns)
+        assert compute_row.cache_info().hits == hits
 
 
 class TestRateSweep:
@@ -563,7 +572,7 @@ def predicted_ratio(n: int, q: int, order: int) -> float:
     """sup_err over the first dropped term's sup, max_k |phi(x) P_{order+1}(x)|
     / n**(order+1), both over the same half row of the sweep cache."""
     sup, _ = uniform_error(n, q, order)
-    _, x, phi, _ = harness._joined((n,), q)
+    _, x, phi, _, _ = harness._table((n,), q, order)
     term = np.abs(phi * uniform_polynomial(order + 1, q)(x)).max() / n ** (order + 1)
     return sup / float(term)
 

@@ -4,6 +4,7 @@ window-sum route."""
 
 from __future__ import annotations
 
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extbinom import _recurrence, coefficient, compute_row, iter_rows
+from extbinom.special import exact_scaled_value
 
 SMALL_N = st.integers(1, 60)
 SMALL_Q = st.integers(1, 10)
@@ -53,6 +55,30 @@ def test_point_query_without_the_row():
     # k <= q: every ordered choice of k units among n parts counts, C(n+k-1, k)
     assert _recurrence.coefficient(20000, 2, 2) == comb(20001, 2) == 200010000
     assert _recurrence.coefficient(10**6, 5, 8) == comb(10**6 + 4, 5)
+
+
+@given(n=SMALL_N, q=SMALL_Q)
+@settings(max_examples=60, deadline=None)
+def test_every_prefix_equals_the_row(n, q):
+    # the stops around q - 1, where the leading zeros stop growing with stop
+    row = compute_row(n, q).coeffs
+    for stop in range(min(n * q, q + 3) + 1):
+        assert _recurrence.prefix(n, q, stop) == list(row[: stop + 1])
+
+
+@pytest.mark.parametrize("q", [10**6, 10**18])
+def test_point_query_memory_does_not_grow_with_q(q):
+    # O(min(k, nq - k)) values whatever q is: no q + 2 leading zeros
+    tracemalloc.start()
+    try:
+        got = [_recurrence.coefficient(3, k, q) for k in (1, 5, 3 * q - 5)]
+        scaled = exact_scaled_value(3, 5, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [3, comb(7, 5), comb(7, 5)]
+    assert scaled > 0
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (3, 0), (0, 0), (-1, 2), (-4, -4)])

@@ -25,7 +25,7 @@ from extbinom import (
     enumerate_partition_solutions,
     hermite,
 )
-from extbinom.harness import _joined
+from extbinom.harness import _table
 from extbinom.special import _fraction, _hermite_coeffs
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -326,7 +326,7 @@ class TestRationalPolynomial:
         p = RationalPolynomial([Fraction(1, 3), 0, -2, Fraction(5, 7), 0, 1])
         # a writable array, then a read-only one, where any write raises
         for xs in (np.array([0.0, -0.0, 1e-300, -1.5, 2.25, 39.9, -40.0, 40.125]),
-                   _joined((50,), 2)[1]):
+                   _table((50,), 2, 0)[1]):
             before = xs.copy()
             got = p(xs)
             expected = np.array([p(float(x)) for x in xs])
