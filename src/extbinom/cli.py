@@ -15,7 +15,8 @@ cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
 runs.  ``cumulants --oracle`` is also refused before any work when its
 estimated cost, from --max-order and the bit length of q + 1, is above
-MAX_ORACLE_COST.  A failed write, to --out or to stdout, or a closed
+MAX_ORACLE_COST, and ``row`` when its estimated cost, from n and q, is
+above MAX_ROW_COST.  A failed write, to --out or to stdout, or a closed
 stdout, also exits 2, and so does an error whose ``error:`` line stderr
 cannot take.
 
@@ -62,6 +63,15 @@ MAX_CUMULANT_ORDER = 400
 # at the limit, from K = 400 at q = 32766 to K = 12 at b = 17498, took
 # 0.5 to 0.9 s (best of 3).
 MAX_ORACLE_COST = 4 * 10**9
+# Largest estimated cost L * (D + 500)**2 of `row`, L = n*q + 1 the
+# coefficients and D = n*log10(q + 1) the digits of the central one:
+# printing a coefficient costs about D**2, since int-to-str is quadratic
+# on Python 3.11, and building and writing a line about 1000*D + 250000
+# more.  Whole commands on the same box with Python 3.11.7 took about
+# 8.7e-12 s per unit (within 20%) over 22 rows from `row 224 2` to `row 1
+# 1000000` and `row 100 10000`; at the limit, from `row 5355 2` and `row
+# 9256 1` to `row 27 10000` and `row 1 391199`, 0.8 to 1.1 s.
+MAX_ROW_COST = 10**11
 # the bounded options by argparse dest, checked in main before dispatch
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
@@ -101,9 +111,17 @@ def cmd_coeff(args) -> str:
 
 
 def cmd_row(args) -> str:
-    from extbinom._recurrence import row
+    from extbinom._recurrence import _check_nq, row
 
-    coeffs = row(args.n, args.q)
+    n, q = _check_nq(args.n, args.q)
+    lines = n * q + 1
+    # the cost is at least lines * 500**2: past the first test, n*q fits a float
+    if (lines * 500**2 > MAX_ROW_COST
+            or lines * (n * math.log10(q + 1) + 500) ** 2 > MAX_ROW_COST):
+        raise ValueError(
+            f"row {n} {q} exceeds the cost limit of {MAX_ROW_COST} (L * (D + 500)**2"
+            " for L = n*q + 1 coefficients of D = n*log10(q + 1) digits)")
+    coeffs = row(n, q)
     return _render(args, [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)])
 
 
@@ -202,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt=None) -> None:
-        fmt = fmt or p  # row passes the group in which --json excludes --csv
-        fmt.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
     p = sub.add_parser("coeff", help="exact coefficient for one (n, k, q)")
@@ -217,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("row", help="full exact coefficient row for (n, q)")
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", help="emit CSV (the default)")
-    common(p, fmt)
+    common(p)
     p.set_defaults(func=cmd_row)
 
     p = sub.add_parser(

@@ -128,9 +128,10 @@ def iter_rows(q: int, n_max: int) -> Iterator[BigRow]:
     by a window sum.
 
     A full sweep costs O(n_max^2 * q) additions, against O(n_max * q)
-    steps for a single ``compute_row(n_max, q)``, so prefer this only
-    when every row is needed or as a route independent of the
-    recurrence.
+    steps for a single ``compute_row(n_max, q)``; building every row
+    n = 1..n_max by the recurrence costs as much or more.  It is
+    the route independent of the recurrence, which the tests compare the
+    recurrence's rows against.
     """
     n_max, q = _check_nq(n_max, q)
     row = [1] * (q + 1)

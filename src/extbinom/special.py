@@ -384,9 +384,15 @@ def exact_scaled_value(n: int, k: int, q: int) -> float:
 
     One-shot: the coefficient comes from the recurrence up to k (or its
     mirror) and no row is kept, so for many k of one row read
-    ``compute_row(n, q)`` instead."""
+    ``compute_row(n, q)`` instead.  Where (q + 1)**n exceeds the
+    coefficient times 2**1100, the correctly rounded ratio is 0.0, below
+    the smallest subnormal 2**-1074, so 0.0 is returned before the power
+    is formed."""
     n, q = _check_nq(n, q)
-    return (_coefficient(n, k, q) / (q + 1) ** n) * _scale(n, q)
+    c = _coefficient(n, k, q)
+    if c.bit_length() + 1100 < n * ((q + 1).bit_length() - 1):
+        return 0.0
+    return (c / (q + 1) ** n) * _scale(n, q)
 
 
 def _base(gamma: tuple[int, int], k: int) -> tuple[int, int]:

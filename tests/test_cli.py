@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extbinom
-from extbinom import coefficient, compute_row, harness, special
-from extbinom.cli import MAX_CUMULANT_ORDER, MAX_ORACLE_COST, MAX_ORDER, main
+from extbinom import _recurrence, coefficient, compute_row, harness, special
+from extbinom.cli import (MAX_CUMULANT_ORDER, MAX_ORACLE_COST, MAX_ORDER, MAX_ROW_COST,
+                          main)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,7 +143,7 @@ class TestCoeff:
 
 class TestRow:
     def test_csv(self, capsys):
-        code, out, _ = run(capsys, "row", "2", "2", "--csv")
+        code, out, _ = run(capsys, "row", "2", "2")
         assert code == 0
         assert out.splitlines() == [
             "k,coefficient",
@@ -154,7 +155,7 @@ class TestRow:
         ]
 
     def test_all_ones(self, capsys):
-        _, out, _ = run(capsys, "row", "1", "3", "--csv")
+        _, out, _ = run(capsys, "row", "1", "3")
         rows, _ = parse_csv(out)
         assert [r["coefficient"] for r in rows] == ["1", "1", "1", "1"]
 
@@ -166,11 +167,11 @@ class TestRow:
         rows = json.loads(out)
         assert sum(r["coefficient"] for r in rows) == 3**120
 
-    @pytest.mark.parametrize("flags", [["--csv", "--json"], ["--json", "--csv"]])
-    def test_csv_and_json_exclude_each_other(self, flags):
-        code, out, err = run_captured(["row", "2", "2", *flags])
+    def test_csv_switch_is_a_usage_error(self):
+        # CSV is the default of every command, which none takes a switch for
+        code, out, err = run_captured(["row", "2", "2", "--csv"])
         assert (code, out) == (2, "")
-        assert "not allowed with argument" in err
+        assert "unrecognized arguments: --csv" in err
 
 
 class TestExpand:
@@ -307,10 +308,11 @@ class WorkStarted(Exception):
     pass
 
 
-# the library functions that start an order-bounded command's work, by
-# the module that defines them: each cmd_* imports them from there when
-# it runs, so a patch there is what the command calls
+# the library functions that start a bounded command's work, by the
+# module that defines them: each cmd_* imports them from there when it
+# runs, so a patch there is what the command calls
 WORK = {
+    _recurrence: ("row",),
     harness: ("rate_sweep",),
     special: ("approximate_scaled", "exact_scaled_value", "gammas_up_to",
               "uniform_polynomial"),
@@ -367,6 +369,27 @@ class TestOrderLimits:
         with pytest.raises(WorkStarted):  # the same q without the oracle runs
             main(argv(refused)[:-1])
 
+    @pytest.mark.parametrize(
+        "allowed,refused",
+        [((5355, 2), (5356, 2)), ((9256, 1), (9257, 1)), ((2058, 8), (2059, 8)),
+         ((27, 10000), (28, 10000)), ((1, 391199), (1, 391200)),
+         ((5355, 2), (20000, 2)), ((5355, 2), (10**400, 2)), ((1, 391199), (1, 10**400))],
+        ids=["q2", "q1", "q8", "q10000", "n1", "found-20000", "huge-n", "huge-q"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    def test_row_refused_above_cost(self, capsys, no_int_digit_limit, no_work,
+                                    allowed, refused, as_json):
+        def argv(n, q):
+            return ["row", str(n), str(q), *(["--json"] if as_json else [])]
+
+        with pytest.raises(WorkStarted):
+            main(argv(*allowed))
+        code, out, err = run(capsys, *argv(*refused))
+        assert (code, out) == (2, "")
+        assert err == (f"error: row {refused[0]} {refused[1]} exceeds the cost limit of"
+                       f" {MAX_ROW_COST} (L * (D + 500)**2 for L = n*q + 1 coefficients"
+                       " of D = n*log10(q + 1) digits)\n")
+
 
 def test_one_shot_commands_at_a_huge_q(capsys):
     q = str(10**18)
@@ -374,6 +397,13 @@ def test_one_shot_commands_at_a_huge_q(capsys):
     code, out, err = run(capsys, "expand", "3", "1", q, "--order", "2")
     assert (code, err) == (0, "")
     assert out.splitlines()[1].startswith(f"3,1,{q},2,")
+
+
+def test_expand_at_a_huge_n(capsys):
+    # the exact value rounds to 0.0 before (q + 1)**n, 19 MB here, is formed
+    code, out, err = run(capsys, "expand", "100000000", "5", "2", "--order", "3", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["exact"] == 0.0
 
 
 class TestNonFinite:
@@ -680,6 +710,8 @@ INVALID = {
     "cumulants-max-order-high": (
         "cumulants 4 --max-order {}", CUMULANT_ORDER_OVER, True
     ),
+    "row-cost-n": ("row {} 2", st.integers(5356, 10**400), True),
+    "row-cost-q": ("row 1 {}", st.integers(391200, 10**400), True),
     "n-list-short": ("sweep 2 --n-list={}", st.sampled_from(["", "3", "3,4"]), False),
     "n-list-not-increasing": (
         "sweep 2 --n-list={}", st.sampled_from(["4,3,5", "3,3,5", "5,4,3"]), False

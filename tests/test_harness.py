@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +56,37 @@ class TestExactScaledValue:
                 q * (q + 2) * n / 12
             )
             assert exact_scaled_value(n, k, q) == expected
+
+    @given(data=st.data(), n=st.integers(1, 2000), q=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_near_the_ends_of_long_rows(self, data, n, q):
+        # near either end of a long row the ratio rounds to 0.0, which is
+        # returned before (q + 1)**n is formed
+        top = n * q
+        k = data.draw(st.one_of(st.integers(-1, 30), st.integers(top - 30, top + 1),
+                                st.integers(0, top)))
+        expected = (_recurrence.coefficient(n, k, q) / (q + 1) ** n) * math.sqrt(
+            q * (q + 2) * n / 12
+        )
+        assert repr(exact_scaled_value(n, k, q)) == repr(expected)
+
+    def test_bits_where_the_ratio_leaves_the_subnormals(self):
+        # C(n, k) / 2**n falls through the subnormals to 0.0 over these n
+        for n in range(1068, 1130):
+            for k in (0, 1, 2):
+                expected = (math.comb(n, k) / 2**n) * math.sqrt(3 * n / 12)
+                assert repr(exact_scaled_value(n, k, 1)) == repr(expected), (n, k)
+
+    def test_huge_n_memory(self):
+        # the quotient rounds to 0.0, so (q + 1)**n, 200 KB here, is never formed
+        tracemalloc.start()
+        try:
+            value = exact_scaled_value(10**6, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 0.0
+        assert peak < 64 * 1024
 
 
 class TestUniformError:
