@@ -15,8 +15,12 @@ cell, an --order or --nu above MAX_ORDER and a --max-order above
 MAX_CUMULANT_ORDER: ``main`` checks these limits before any subcommand
 runs.  ``cumulants --oracle`` is also refused before any work when its
 estimated cost, from --max-order and the bit length of q + 1, is above
-MAX_ORACLE_COST, and ``row`` when its estimated cost, from n and q, is
-above MAX_ROW_COST.  A failed write, to --out or to stdout, or a closed
+MAX_ORACLE_COST, ``cumulants`` when the estimated cost of printing its
+cumulants, from the same two, is above MAX_CUMULANT_COST, ``qpoly`` and
+``expand`` when the estimated cost of their correction polynomials, from
+--nu or --order and the same bit length, is above MAX_CORRECTION_COST,
+and ``row`` when its estimated cost, from n and q, is above
+MAX_ROW_COST.  A failed write, to --out or to stdout, or a closed
 stdout, also exits 2, and so does an error whose ``error:`` line stderr
 cannot take.
 
@@ -72,6 +76,27 @@ MAX_ORACLE_COST = 4 * 10**9
 # 1000000` and `row 100 10000`; at the limit, from `row 5355 2` and `row
 # 9256 1` to `row 27 10000` and `row 1 391199`, 0.8 to 1.1 s.
 MAX_ROW_COST = 10**11
+# Largest estimated cost, the sum of (D + 500)**2 over the even k up to the
+# --max-order K, of `cumulants` without --oracle, D = k*b*log10(2) the
+# digits of gamma_k and b = (q + 1).bit_length(): the form of MAX_ROW_COST,
+# since printing gamma_k costs about D**2, but a unit costs more here.
+# Whole commands on the same box with Python 3.11.7 took 0.15 s plus about
+# 1.4e-11 s per unit (within 30%, and within 18% but for K = 400 under
+# 0.6 s) over 22 commands of 0.3 to 3.5 s, from K = 25 at b = 21113 to
+# K = 400 at b = 308.
+MAX_CUMULANT_COST = 6 * 10**10
+# Largest estimated cost A * b**2 + nu**4.5 * b**1.25 of the correction
+# polynomials that `qpoly` and `expand` build, nu the --nu or --order and
+# b = (q + 1).bit_length(): the series of truncated powers, whose products
+# grow with nu and b, costs about nu**4.5 * b**1.25, and the assembly, whose
+# gcds and, in `qpoly`, int-to-str conversions are quadratic in numbers of
+# about nu*b bits, A * b**2, with A = nu**3 for `qpoly`, which assembles
+# one order, and A = nu**4 / 4 for `expand`, which assembles every order
+# up to nu.
+# Whole commands on the same box with Python 3.11.7 took 0.13 s plus about
+# 4.3e-11 s per unit (within 30%) over 58 commands of 0.3 to 3.5 s, from
+# `qpoly --nu 1` at b = 221377 to `expand --order 40` at b = 308.
+MAX_CORRECTION_COST = 2 * 10**10
 # the bounded options by argparse dest, checked in main before dispatch
 LIMITS = {"order": MAX_ORDER, "nu": MAX_ORDER, "max_order": MAX_CUMULANT_ORDER}
 
@@ -125,7 +150,20 @@ def cmd_row(args) -> str:
     return _render(args, [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)])
 
 
+def _check_correction_cost(option: str, nu: int, q: int, every_order: bool) -> None:
+    """Refuse, before any work, to build the correction of order nu at q,
+    and with every_order those of the orders below it too, when the
+    estimate is above MAX_CORRECTION_COST."""
+    nu, bits = max(nu, 0), (max(q, 0) + 1).bit_length()  # the builders refuse these
+    assembly, assembled = ("nu**4 / 4", nu**4 / 4) if every_order else ("nu**3", nu**3)
+    if assembled * bits**2 + nu**4.5 * bits**1.25 > MAX_CORRECTION_COST:
+        raise ValueError(
+            f"{option} {nu} at {bits} bits of q + 1 exceeds the cost limit of "
+            f"{MAX_CORRECTION_COST} ({assembly} * b**2 + nu**4.5 * b**1.25)")
+
+
 def cmd_expand(args) -> str:
+    _check_correction_cost("--order", args.order, args.q, every_order=True)
     from extbinom.special import (
         approximate_scaled,
         exact_scaled_value,
@@ -184,6 +222,13 @@ def cmd_cumulants(args) -> str:
         raise ValueError(
             f"--oracle at --max-order {args.max_order} and {bits} bits of q + 1 "
             f"exceeds the cost limit of {MAX_ORACLE_COST} (K**3 * b**1.5)")
+    digits = bits * math.log10(2)  # per order: gamma_k has about k * digits
+    cost = sum((k * digits + 500) ** 2 for k in range(2, args.max_order + 1, 2))
+    if cost > MAX_CUMULANT_COST:
+        raise ValueError(
+            f"--max-order {args.max_order} at {bits} bits of q + 1 exceeds the cost limit"
+            f" of {MAX_CUMULANT_COST} ((D + 500)**2 summed over the even k <= K,"
+            " for D = k*b*log10(2) digits)")
     from extbinom.special import gammas_from_moments, gammas_up_to
 
     gammas = gammas_up_to(args.max_order, args.q)
@@ -197,6 +242,7 @@ def cmd_cumulants(args) -> str:
 
 
 def cmd_qpoly(args) -> str:
+    _check_correction_cost("--nu", args.nu, args.q, every_order=False)
     from extbinom.special import uniform_polynomial
 
     poly = uniform_polynomial(args.nu, args.q)

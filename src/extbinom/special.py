@@ -408,15 +408,20 @@ def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return den, [a * (den // b) for a, b in pairs]
 
 
-def _hermite_sum(weights: dict[int, tuple[int, int]]) -> RationalPolynomial:
-    """sum_d weights[d] * H_d for reduced int pairs, assembled in integers.
-
-    The Hermite coefficients are integers, so every weight is brought to
-    the lcm D of the weights' denominators, each coefficient is summed as
+def _hermite_sum(weights: dict[int, tuple[int, int]],
+                 variance: tuple[int, int]) -> RationalPolynomial:
+    """sum_d (a / b) * H_d / sigma^d over the weights d: (a, b), int pairs
+    (b >= 1) keyed by even degree d, with sigma^2 = vn / vd (vn >= 1) given
+    as the int pair variance.  The builders' weights are free of sigma:
+    this is the one place that applies it, as the reduced pair
+    a vd^(d/2) / (b vn^(d/2)).  The sum runs in integers: every pair is
+    brought to the lcm D of their denominators, each coefficient summed as
     an int, and each nonzero sum becomes one ``_fraction(sum, D)``; the
     zero ones, half of them by parity, share one Fraction(0).
     """
-    den, scales = _over_lcm(list(weights.values()))
+    vn, vd = variance
+    den, scales = _over_lcm([_reduced(a * vd ** (d // 2), b * vn ** (d // 2))
+                             for d, (a, b) in weights.items()])
     coeffs = [0] * (max(weights, default=0) + 1)
     for d, scale in zip(weights, scales):
         h = _hermite_coeffs(d)
@@ -446,8 +451,9 @@ def general_polynomial(order: int, gammas, variance: Rational) -> RationalPolyno
     Vol. 2, section 4.7); the k with g_k = 0 are skipped.  It runs in
     integers: with L the lcm of the denominators of the g_k, g_k = N_k / L
     and e_n(s) = [y^s] F_n(y) * L^s * n!, it reads e_n(s+1) = sum_k
-    k N_k (n-1)!/(n-k)! e_{n-k}(s), and each weight is the reduced int
-    pair e_order(s) / (L^s order! sigma^(order+2s)).
+    k N_k (n-1)!/(n-k)! e_{n-k}(s); H_{order+2s} has the sigma-free weight
+    (e_order(s), L^s order!), which ``_hermite_sum`` divides by
+    sigma^(order+2s).
 
     The algebra stays in the field of sigma^2, so order must be even: an
     odd order raises ValueError whenever some product of the g_k has a
@@ -485,13 +491,9 @@ def general_polynomial(order: int, gammas, variance: Rational) -> RationalPolyno
             "term leaves an odd power of sigma: only cumulant inputs with "
             "vanishing odd cumulants are supported"
         )
-    scale = factorial(order)
-    weights = {}
-    for s, c in series[order].items():
-        if c:
-            p = order // 2 + s
-            weights[order + 2 * s] = _reduced(c * vd**p, den**s * scale * vn**p)
-    return _hermite_sum(weights)
+    weights = {order + 2 * s: (c, den**s * factorial(order))
+               for s, c in series[order].items() if c}
+    return _hermite_sum(weights, (vn, vd))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -513,20 +515,16 @@ def uniform_polynomial(order: int, q: int) -> RationalPolynomial:
     integer N, and the successive powers N^s are integer polynomials:
     [t^order] G^s = [t^order] N^s / L^s.  The column of order, L and its
     [t^order] N^s for s = 1..order, is item order of
-    ``_uniform_columns(q)``, which ``_kept`` keeps per q; each weight is
-    a reduced pair, the same over any L.  Even degree 2*(order + s_max),
-    even powers of x only.
+    ``_uniform_columns(q)``, which ``_kept`` keeps per q.  H_{2(order+s)}
+    has the sigma-free weight ([t^order] N^s, L^s s!), which ``_hermite_sum``
+    divides by sigma^(2(order+s)) and reduces, the same over any L.  Even
+    degree 2*(order + s_max), even powers of x only.
     """
     order, q = _int(order, "order"), _int(q, "q")
     den, column = _kept(_uniform_columns, q, order)[order - 1]
-    vn, vd = cumulant(2, q).as_integer_ratio()  # sigma^2 = vn / vd
-    weights = {}
-    for s, power in enumerate(column, 1):
-        weights[2 * (order + s)] = _reduced(
-            vd ** (order + s) * power,
-            vn ** (order + s) * den**s * factorial(s),
-        )
-    return _hermite_sum(weights)
+    weights = {2 * (order + s): (power, den**s * factorial(s))
+               for s, power in enumerate(column, 1)}
+    return _hermite_sum(weights, cumulant(2, q).as_integer_ratio())
 
 
 _BLOCK = 8  # bases per widening of L in _uniform_columns, which rescales its table

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import extbinom
 from extbinom import _recurrence, coefficient, compute_row, harness, special
-from extbinom.cli import (MAX_CUMULANT_ORDER, MAX_ORACLE_COST, MAX_ORDER, MAX_ROW_COST,
-                          main)
+from extbinom.cli import (MAX_CORRECTION_COST, MAX_CUMULANT_COST, MAX_CUMULANT_ORDER,
+                          MAX_ORACLE_COST, MAX_ORDER, MAX_ROW_COST, main)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 ROOT = Path(__file__).resolve().parents[1]
@@ -389,6 +389,83 @@ class TestOrderLimits:
         assert err == (f"error: row {refused[0]} {refused[1]} exceeds the cost limit of"
                        f" {MAX_ROW_COST} (L * (D + 500)**2 for L = n*q + 1 coefficients"
                        " of D = n*log10(q + 1) digits)\n")
+
+    @pytest.mark.parametrize(
+        "template,allowed,refused",
+        [("qpoly {} --nu 40", 2**249 - 2, 2**249 - 1),
+         ("qpoly {} --nu 8 --json", 2**6150 - 2, 2**6150 - 1),
+         ("qpoly {} --nu 1", 2**141411 - 2, 2**141411 - 1),
+         ("qpoly {} --nu 40", 10**18, 10**100),
+         ("qpoly {} --nu 40", 10**18, 10**400),
+         ("expand 3 1 {} --order 40", 2**138 - 2, 2**138 - 1),
+         ("expand 3 1 {} --order 20 --terms --json", 2**663 - 2, 2**663 - 1),
+         ("expand 3 1 {} --order 40", 10**18, 10**100),
+         ("expand 3 1 {} --order 20", 8, 10**300)],
+        ids=["qpoly-40", "qpoly-8", "qpoly-1", "qpoly-found", "qpoly-huge-q", "expand-40",
+             "expand-20", "expand-found-40", "expand-found-20"],
+    )
+    def test_correction_refused_above_cost(self, capsys, no_int_digit_limit, no_work,
+                                           template, allowed, refused):
+        with pytest.raises(WorkStarted):
+            main(template.format(allowed).split())
+        code, out, err = run(capsys, *template.format(refused).split())
+        assert (code, out) == (2, "")
+        option, nu = template.split("--", 1)[1].split()[:2]
+        assembly = "nu**3" if template.startswith("qpoly") else "nu**4 / 4"
+        assert err == (f"error: --{option} {nu} at {(refused + 1).bit_length()} bits of"
+                       f" q + 1 exceeds the cost limit of {MAX_CORRECTION_COST}"
+                       f" ({assembly} * b**2 + nu**4.5 * b**1.25)\n")
+
+    @pytest.mark.parametrize(
+        "max_order,allowed,refused",
+        [(400, 2**241 - 2, 2**241 - 1), (200, 2**687 - 2, 2**687 - 1),
+         (50, 2**5424 - 2, 2**5424 - 1), (12, 2**42457 - 2, 2**42457 - 1),
+         (400, 10**18, 10**100), (200, 10**18, 10**300), (400, 10**18, 10**400)],
+        ids=["order-400", "order-200", "order-50", "order-12", "found-400", "found-200",
+             "huge-q"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    def test_cumulants_refused_above_cost(self, capsys, no_int_digit_limit, no_work,
+                                          max_order, allowed, refused, as_json):
+        def argv(q):
+            return ["cumulants", str(q), "--max-order", str(max_order),
+                    *(["--json"] if as_json else [])]
+
+        with pytest.raises(WorkStarted):
+            main(argv(allowed))
+        code, out, err = run(capsys, *argv(refused))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --max-order {max_order} at {(refused + 1).bit_length()} bits"
+                       f" of q + 1 exceeds the cost limit of {MAX_CUMULANT_COST}"
+                       " ((D + 500)**2 summed over the even k <= K, for D = k*b*log10(2)"
+                       " digits)\n")
+
+    @pytest.mark.parametrize(
+        "template,q",
+        [("expand 3 1 {} --order 40", 8), ("qpoly {} --nu 40", 10**18),
+         ("expand 3 1 {} --order 2", 10**18), ("expand 3 1 {} --order 40", 10**18),
+         ("cumulants {} --max-order 400", 8), ("cumulants {} --max-order 400", 10**18),
+         ("cumulants {} --max-order 400", 2**15 - 1),
+         ("cumulants {} --max-order 200", 2**62 - 1),
+         ("cumulants {} --max-order 12", 2**17498 - 1),
+         # the benchmark's largest cli calls: q <= 8, --nu <= 6, --order <= 3
+         ("qpoly {} --nu 6 --json", 8), ("expand 60 100 {} --order 3 --terms --json", 8),
+         ("cumulants {} --max-order 12 --oracle --json", 8)],
+        ids=["expand-8-40", "qpoly-huge-q", "expand-huge-q-2", "expand-huge-q-40",
+             "cumulants-8", "cumulants-huge-q", "cumulants-order-400",
+             "cumulants-order-200", "cumulants-order-12", "bench-qpoly", "bench-expand",
+             "bench-cumulants"],
+    )
+    def test_bounded_commands_start_work(self, no_int_digit_limit, no_work, template, q):
+        with pytest.raises(WorkStarted):
+            main(template.format(q).split())
+
+    def test_readme_commands_start_work(self, no_work):
+        # coeff alone calls nothing that WORK patches
+        for argv in readme_cli_examples():
+            if argv[0] != "coeff":
+                with pytest.raises(WorkStarted):
+                    main(argv)
 
 
 def test_one_shot_commands_at_a_huge_q(capsys):
